@@ -7,12 +7,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "core/correlation_table.hh"
 #include "cpu/core_model.hh"
 #include "prefetch/ghb.hh"
 #include "sim/api.hh"
 #include "trace/workloads.hh"
+#include "util/crc32.hh"
 #include "util/random.hh"
 
 using namespace ebcp;
@@ -40,16 +46,18 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_CorrTableUpdate(benchmark::State &state)
 {
+    // Sized like BM_CorrTableLookup (and Figure 9's 2^16-entry
+    // table), so the two are directly comparable.
     CorrTableConfig cfg;
-    cfg.entries = 1ULL << 20;
+    cfg.entries = 1ULL << 16;
     cfg.addrsPerEntry = 8;
     CorrelationTable table(cfg);
     Pcg32 rng(2);
     std::vector<Addr> payload(4);
     for (auto _ : state) {
-        Addr key = (rng.next() & 0xfffff) << 6;
+        Addr key = (rng.next() & 0xffff) << 6;
         for (auto &p : payload)
-            p = (rng.next() & 0xfffff) << 6;
+            p = (rng.next() & 0xffff) << 6;
         table.update(key, payload);
     }
 }
@@ -136,6 +144,91 @@ BM_SimulatedInstruction(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulatedInstruction);
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<unsigned char> buf(1 << 20);
+    Pcg32 rng(6);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/** A database simulator warmed as one Figure 9 sweep point (EBCP at
+ * degree 6 with a 2^16-entry table, 300K warm instructions) under
+ * @p scheme. */
+struct WarmPoint
+{
+    SimConfig cfg;
+    PrefetcherParams pf;
+    std::unique_ptr<Simulator> sim;
+    std::unique_ptr<SyntheticWorkload> src;
+
+    explicit WarmPoint(const char *scheme)
+    {
+        pf.name = scheme;
+        pf.ebcp.prefetchDegree = 6;
+        pf.ebcp.tableEntries = 1ULL << 16;
+        sim = std::make_unique<Simulator>(cfg, pf);
+        src = makeWorkload("database");
+        if (!sim->runWarm(*src, 300'000).ok())
+            std::abort();
+    }
+};
+
+void
+BM_CkptSerialize(benchmark::State &state, const char *scheme)
+{
+    WarmPoint w(scheme);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        StatusOr<std::string> blob = w.sim->serializeCheckpoint(*w.src);
+        if (!blob.ok()) {
+            state.SkipWithError(blob.status().toString().c_str());
+            break;
+        }
+        benchmark::DoNotOptimize(blob.value().data());
+        benchmark::ClobberMemory();
+        bytes = blob.value().size();
+    }
+    state.counters["image_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK_CAPTURE(BM_CkptSerialize, ebcp, "ebcp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CkptSerialize, ghb_large, "ghb-large")
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_CkptRestore(benchmark::State &state, const char *scheme)
+{
+    WarmPoint w(scheme);
+    StatusOr<std::string> blob = w.sim->serializeCheckpoint(*w.src);
+    if (!blob.ok()) {
+        state.SkipWithError(blob.status().toString().c_str());
+        return;
+    }
+    Simulator fork(w.cfg, w.pf);
+    auto src = makeWorkload("database");
+    for (auto _ : state) {
+        Status s = fork.restoreCheckpoint(blob.value(), *src);
+        benchmark::ClobberMemory();
+        if (!s.ok()) {
+            state.SkipWithError(s.toString().c_str());
+            break;
+        }
+    }
+    state.counters["image_bytes"] =
+        static_cast<double>(blob.value().size());
+}
+BENCHMARK_CAPTURE(BM_CkptRestore, ebcp, "ebcp")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CkptRestore, ghb_large, "ghb-large")
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

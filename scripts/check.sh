@@ -25,10 +25,13 @@
 #       them (golden results are pinned by the regular suite, which
 #       runs identically in this configuration);
 #    7. checkpoint gates, explicitly and under ASan/UBSan: the
-#       save->restore bit-exactness round trip and the corrupted-
+#       save->restore bit-exactness round trip, the corrupted-
 #       checkpoint corpus (every injected fault must yield a coded
 #       Status, never a crash -- precisely the class of bug the
-#       sanitizers catch), plus the ckpt_lint format-version guard;
+#       sanitizers catch) and the container format (byte identity
+#       with the committed pristine checkpoint; reader views that
+#       outlive moves and copies), plus the ckpt_lint format-version
+#       guard;
 #    8. -DEBCP_NO_SIMD=ON build (the portable scalar-bitmask probe
 #       fallback of the group-probed hash core) re-running the golden
 #       SimResults and FlatMap suites, so both probe paths stay
@@ -123,10 +126,11 @@ cmake --build build-check-noaudit -j "${JOBS}"
 run_ctest build-check-noaudit
 
 stage "7/9 checkpoint gates (ASan/UBSan) + format-version lint"
-# The sanitizer build from stage 3 already exists; re-run the two
+# The sanitizer build from stage 3 already exists; re-run the
 # checkpoint gates by name so a crash-safety regression is reported
 # as its own stage, not buried in a 500-entry suite.
-run_ctest build-check-asan -R '^ckpt_roundtrip$|^ckpt_corruption_corpus$'
+run_ctest build-check-asan \
+    -R '^ckpt_roundtrip$|^ckpt_corruption_corpus$|^ckpt_format$'
 scripts/ckpt_lint.sh
 
 stage "8/9 scalar probe fallback (-DEBCP_NO_SIMD=ON): goldens + FlatMap"

@@ -45,13 +45,24 @@ packU64(std::string &out, std::uint64_t v)
         out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
+/** Overwrite the @p width little-endian bytes at @p at with @p v. */
+void
+patchLe(std::string &out, std::size_t at, std::uint64_t v, unsigned width)
+{
+    for (unsigned i = 0; i < width; ++i)
+        out[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/** Header bytes covered by the header CRC: magic, version,
+ * fingerprint and section count. */
+constexpr std::size_t kHeaderLen = sizeof kCkptMagic + 4 + 8 + 4;
+
 class Cursor
 {
   public:
-    Cursor(const std::string &buf) : buf_(buf) {}
+    explicit Cursor(std::string_view buf) : buf_(buf) {}
 
     std::size_t remaining() const { return buf_.size() - pos_; }
-    std::size_t pos() const { return pos_; }
 
     bool
     take(void *dst, std::size_t len)
@@ -87,22 +98,32 @@ class Cursor
         return true;
     }
 
+    /** The next @p len bytes, as a view into the buffer. */
     bool
-    strN(std::string &v, std::size_t len)
+    view(std::string_view &v, std::size_t len)
     {
         if (len > remaining())
             return false;
-        v.assign(buf_.data() + pos_, len);
+        v = buf_.substr(pos_, len);
         pos_ += len;
         return true;
     }
 
   private:
-    const std::string &buf_;
+    std::string_view buf_;
     std::size_t pos_ = 0;
 };
 
 } // namespace
+
+CheckpointWriter::CheckpointWriter(std::uint64_t fingerprint)
+{
+    out_.append(kCkptMagic, sizeof kCkptMagic);
+    packU32(out_, kCkptFormatVersion);
+    packU64(out_, fingerprint);
+    packU32(out_, 0); // section count, patched by serialize()
+    packU32(out_, 0); // header CRC, patched by serialize()
+}
 
 Status
 CheckpointWriter::section(const std::string &name,
@@ -110,47 +131,48 @@ CheckpointWriter::section(const std::string &name,
 {
     if (!status_.ok())
         return status_;
-    for (const Section &s : sections_) {
-        if (s.name == name) {
+    for (const std::string &n : names_) {
+        if (n == name) {
             status_ = invalidArgError("duplicate checkpoint section '",
                                       name, "'");
             return status_;
         }
     }
-    sections_.push_back(Section{name, {}});
-    Archiver ar = Archiver::saver(sections_.back().payload);
+    const std::size_t start = out_.size();
+    packU32(out_, static_cast<std::uint32_t>(name.size()));
+    out_.append(name);
+    const std::size_t len_at = out_.size();
+    packU64(out_, 0); // payload length, patched below
+    packU32(out_, 0); // payload CRC, patched below
+    const std::size_t payload_at = out_.size();
+    Archiver ar = Archiver::saver(out_);
     fill(ar);
     if (!ar.ok()) {
         status_ = ar.status().withContext("checkpoint section '" + name +
                                           "'");
-        sections_.pop_back();
+        out_.resize(start);
+        return status_;
     }
+    const std::size_t len = out_.size() - payload_at;
+    patchLe(out_, len_at, len, 8);
+    patchLe(out_, len_at + 8, crc32(out_.data() + payload_at, len), 4);
+    names_.push_back(name);
     return status_;
 }
 
 StatusOr<std::string>
-CheckpointWriter::serialize() const
+CheckpointWriter::serialize()
 {
     if (!status_.ok())
         return status_;
-    std::string out;
-    out.append(kCkptMagic, sizeof kCkptMagic);
-    packU32(out, kCkptFormatVersion);
-    packU64(out, fingerprint_);
-    packU32(out, static_cast<std::uint32_t>(sections_.size()));
-    packU32(out, crc32(out.data(), out.size()));
-    for (const Section &s : sections_) {
-        packU32(out, static_cast<std::uint32_t>(s.name.size()));
-        out.append(s.name);
-        packU64(out, s.payload.size());
-        packU32(out, crc32(s.payload.data(), s.payload.size()));
-        out.append(s.payload);
-    }
-    return out;
+    patchLe(out_, kHeaderLen - 4, names_.size(), 4);
+    patchLe(out_, kHeaderLen, crc32(out_.data(), kHeaderLen), 4);
+    status_ = invalidArgError("checkpoint writer already serialized");
+    return std::move(out_);
 }
 
 Status
-CheckpointWriter::writeAtomic(const std::string &path) const
+CheckpointWriter::writeAtomic(const std::string &path)
 {
     StatusOr<std::string> data = serialize();
     if (!data.ok())
@@ -174,10 +196,9 @@ CheckpointReader::fromBuffer(const std::string &buffer,
     std::uint64_t fingerprint = 0;
     if (!cur.u32(version) || !cur.u64(fingerprint) || !cur.u32(count))
         return corruptionError("checkpoint header truncated");
-    const std::size_t header_len = cur.pos();
     if (!cur.u32(header_crc))
         return corruptionError("checkpoint header truncated");
-    const std::uint32_t want = crc32(buffer.data(), header_len);
+    const std::uint32_t want = crc32(buffer.data(), kHeaderLen);
     if (header_crc != want)
         return corruptionError("checkpoint header CRC mismatch (stored ",
                                header_crc, ", computed ", want, ")");
@@ -206,6 +227,7 @@ CheckpointReader::fromBuffer(const std::string &buffer,
 
     CheckpointReader r;
     r.fingerprint_ = fingerprint;
+    r.sections_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         std::uint32_t name_len = 0, payload_crc = 0;
         std::uint64_t payload_len = 0;
@@ -218,9 +240,9 @@ CheckpointReader::fromBuffer(const std::string &buffer,
                                    " name length ", name_len,
                                    " exceeds the ", kMaxSectionName,
                                    "-byte cap");
-        if (!cur.strN(s.name, name_len) || !cur.u64(payload_len) ||
+        if (!cur.view(s.name, name_len) || !cur.u64(payload_len) ||
             !cur.u32(payload_crc) ||
-            !cur.strN(s.payload, static_cast<std::size_t>(payload_len)))
+            !cur.view(s.payload, static_cast<std::size_t>(payload_len)))
             return corruptionError("checkpoint section ", i,
                                    " truncated");
         const std::uint32_t got =
@@ -229,7 +251,7 @@ CheckpointReader::fromBuffer(const std::string &buffer,
             return corruptionError("checkpoint section '", s.name,
                                    "' CRC mismatch (stored ",
                                    payload_crc, ", computed ", got, ")");
-        r.sections_.push_back(std::move(s));
+        r.sections_.push_back(s);
     }
     if (cur.remaining() != 0)
         return corruptionError("checkpoint holds ", cur.remaining(),
@@ -244,41 +266,49 @@ CheckpointReader::fromFile(const std::string &path,
     StatusOr<std::string> data = readFile(path);
     if (!data.ok())
         return data.status();
-    StatusOr<CheckpointReader> r =
-        fromBuffer(data.value(), expect_fingerprint);
+    // The bytes live on the heap, shared by every copy of the reader,
+    // so no move or copy can leave a section view dangling.
+    auto owned = std::make_shared<const std::string>(data.take());
+    StatusOr<CheckpointReader> r = fromBuffer(*owned, expect_fingerprint);
     if (!r.ok())
         return r.status().withContext(path);
+    r.value().owned_ = std::move(owned);
     return r;
+}
+
+const CheckpointReader::Section *
+CheckpointReader::find(const std::string &name) const
+{
+    for (const Section &s : sections_)
+        if (s.name == name)
+            return &s;
+    return nullptr;
 }
 
 bool
 CheckpointReader::hasSection(const std::string &name) const
 {
-    for (const Section &s : sections_)
-        if (s.name == name)
-            return true;
-    return false;
+    return find(name) != nullptr;
 }
 
 Status
 CheckpointReader::section(const std::string &name,
                           const std::function<void(Archiver &)> &load) const
 {
-    for (const Section &s : sections_) {
-        if (s.name != name)
-            continue;
-        Archiver ar = Archiver::loader(s.payload.data(), s.payload.size());
-        load(ar);
-        if (!ar.ok())
-            return ar.status().withContext("checkpoint section '" + name +
-                                           "'");
-        if (ar.remaining() != 0)
-            return corruptionError("checkpoint section '", name,
-                                   "' has ", ar.remaining(),
-                                   " unconsumed bytes (layout skew)");
-        return Status();
-    }
-    return corruptionError("checkpoint is missing section '", name, "'");
+    const Section *s = find(name);
+    if (!s)
+        return corruptionError("checkpoint is missing section '", name,
+                               "'");
+    Archiver ar = Archiver::loader(s->payload.data(), s->payload.size());
+    load(ar);
+    if (!ar.ok())
+        return ar.status().withContext("checkpoint section '" + name +
+                                       "'");
+    if (ar.remaining() != 0)
+        return corruptionError("checkpoint section '", name, "' has ",
+                               ar.remaining(),
+                               " unconsumed bytes (layout skew)");
+    return Status();
 }
 
 Status

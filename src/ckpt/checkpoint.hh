@@ -23,15 +23,22 @@
  * flipped bit anywhere surfaces as StatusCode::Corruption before any
  * component state is touched. Writing goes through a temp file +
  * fsync + rename so a crash mid-save never leaves a torn file behind.
+ *
+ * Both directions work on one contiguous buffer: the writer archives
+ * each section straight into the output and patches its length and
+ * CRC fields in place, and the reader hands out payloads as views
+ * into the bytes it parsed. Neither copies a payload.
  */
 
 #ifndef EBCP_CKPT_CHECKPOINT_HH
 #define EBCP_CKPT_CHECKPOINT_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ckpt/archiver.hh"
 #include "util/status.hh"
@@ -64,38 +71,36 @@ const char *ckptPolicyName(CkptPolicy policy);
  * Assembles named sections and serializes them into the container
  * format. Sections are written in the order they are added; the order
  * is part of the format only in that readers look sections up by name.
+ *
+ * The container is built in a single buffer as sections are added;
+ * serialize() patches the header and hands that buffer over, after
+ * which the writer is spent.
  */
 class CheckpointWriter
 {
   public:
-    explicit CheckpointWriter(std::uint64_t fingerprint)
-        : fingerprint_(fingerprint)
-    {}
+    explicit CheckpointWriter(std::uint64_t fingerprint);
 
     /**
-     * Add a section: @p fill receives a save-mode Archiver bound to
-     * the section payload. Returns the archiver's status (a failing
-     * fill marks the whole writer failed).
+     * Add a section: @p fill receives a save-mode Archiver that
+     * appends to the section payload. Returns the archiver's status (a
+     * failing fill drops the section and marks the whole writer
+     * failed).
      */
     Status section(const std::string &name,
                    const std::function<void(Archiver &)> &fill);
 
-    /** Serialize every section into the container format. */
-    StatusOr<std::string> serialize() const;
+    /** Finish the container and move its bytes out. Any later call on
+     * the writer fails. */
+    StatusOr<std::string> serialize();
 
     /** Serialize and write to @p path atomically (temp file + fsync +
      * rename). */
-    Status writeAtomic(const std::string &path) const;
+    Status writeAtomic(const std::string &path);
 
   private:
-    struct Section
-    {
-        std::string name;
-        std::string payload;
-    };
-
-    std::uint64_t fingerprint_;
-    std::deque<Section> sections_;
+    std::string out_; //!< header, then every finished section
+    std::vector<std::string> names_;
     Status status_;
 };
 
@@ -103,6 +108,13 @@ class CheckpointWriter
  * Parses and validates a serialized checkpoint, then hands out
  * load-mode Archivers per section. All header and payload CRCs are
  * verified up front by fromBuffer()/fromFile().
+ *
+ * View lifetime: sections are views into the parsed bytes, never
+ * copies. A fromBuffer() reader borrows the caller's buffer, which
+ * must outlive the reader and every copy of it, unchanged (binding a
+ * temporary is refused at compile time). A fromFile() reader owns
+ * the file bytes on the heap and shares them with its copies, so it
+ * may be moved or copied freely.
  */
 class CheckpointReader
 {
@@ -114,6 +126,9 @@ class CheckpointReader
      */
     static StatusOr<CheckpointReader>
     fromBuffer(const std::string &buffer, std::uint64_t expect_fingerprint);
+    static StatusOr<CheckpointReader>
+    fromBuffer(std::string &&buffer,
+               std::uint64_t expect_fingerprint) = delete;
 
     /** Read @p path fully and parse it. */
     static StatusOr<CheckpointReader>
@@ -135,14 +150,19 @@ class CheckpointReader
   private:
     struct Section
     {
-        std::string name;
-        std::string payload;
+        std::string_view name;
+        std::string_view payload;
     };
 
     CheckpointReader() = default;
 
+    const Section *find(const std::string &name) const;
+
     std::uint64_t fingerprint_ = 0;
-    std::deque<Section> sections_;
+    /** fromFile()'s bytes, which the views point into; null when the
+     * views borrow a fromBuffer() caller's buffer. */
+    std::shared_ptr<const std::string> owned_;
+    std::vector<Section> sections_;
 };
 
 /** Write @p data to @p path via temp file + fsync + rename. */

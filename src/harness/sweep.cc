@@ -136,9 +136,24 @@ struct WarmEntry
     Status status;
 };
 
+/**
+ * The sweep's warm checkpoints, keyed by warmFingerprint(). Each
+ * image is freed as soon as the last descriptor that can fork from
+ * it has finished, so a sweep holds only the images still in use
+ * rather than one per warm point.
+ */
 class WarmCache
 {
   public:
+    /** Count one more descriptor that will fork from @p key. Call
+     * for every such descriptor before any of them runs. */
+    void
+    expect(std::uint64_t key)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++pending_[key];
+    }
+
     WarmEntry &
     entry(std::uint64_t key)
     {
@@ -149,9 +164,23 @@ class WarmCache
         return *slot;
     }
 
+    /** A descriptor counted by expect() is done for good (every
+     * attempt and any cold fallback); the last one frees the image. */
+    void
+    finished(std::uint64_t key)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = pending_.find(key);
+        if (it == pending_.end() || --it->second > 0)
+            return;
+        pending_.erase(it);
+        map_.erase(key);
+    }
+
   private:
     std::mutex mu_;
     std::map<std::uint64_t, std::unique_ptr<WarmEntry>> map_;
+    std::map<std::uint64_t, unsigned> pending_;
 };
 
 /** Per-sweep execution context threaded into every run. */
@@ -202,15 +231,17 @@ timeoutContext(Status s, const CoreModel &core, double seconds)
     return s;
 }
 
-/** The trace-source stack + effective prefetcher params of one
- * single-core run; mirrors examples/ebcp_cli's wiring, including the
- * fault-injection wrapper and the EBCP-side fault plan. */
+/** The trace-source stack, effective prefetcher params and the
+ * prefetcher built from them for one single-core run; mirrors
+ * examples/ebcp_cli's wiring, including the fault-injection wrapper
+ * and the EBCP-side fault plan. */
 struct SingleSource
 {
     std::unique_ptr<SyntheticWorkload> owned;
     std::unique_ptr<FaultInjectingTraceSource> injector;
     TraceSource *source = nullptr;
     PrefetcherParams pf;
+    std::unique_ptr<Prefetcher> prefetcher;
     Status status;
 };
 
@@ -239,13 +270,14 @@ buildSingleSource(const RunDesc &d)
     if (faults.any())
         out.pf.ebcp.faults = faults;
 
-    // Validate the prefetcher name up front: the Simulator
-    // constructor treats an unknown name as fatal, but a sweep
-    // must degrade to a per-run error instead.
-    StatusOr<std::unique_ptr<Prefetcher>> probe =
-        tryCreatePrefetcher(out.pf);
-    if (!probe.ok())
-        out.status = probe.status().withContext(runLabel(d));
+    // Build the prefetcher here, where an unknown name is a coded
+    // per-run error; the Simulator adopts it (its own constructor
+    // treats an unknown name as fatal).
+    StatusOr<std::unique_ptr<Prefetcher>> pf = tryCreatePrefetcher(out.pf);
+    if (pf.ok())
+        out.prefetcher = pf.take();
+    else
+        out.status = pf.status().withContext(runLabel(d));
     return out;
 }
 
@@ -259,7 +291,7 @@ executeColdSingle(const RunDesc &d, const ExecContext &ctx)
         out.status = ss.status;
         return out;
     }
-    Simulator sim(d.cfg, ss.pf);
+    Simulator sim(d.cfg, ss.pf, std::move(ss.prefetcher));
     armDeadline(sim.core(), ctx.opts.runTimeoutSeconds);
     StatusOr<SimResults> r =
         sim.tryRun(*ss.source, d.scale.warm, d.scale.measure);
@@ -288,7 +320,7 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
             entry.status = ws.status;
             return;
         }
-        Simulator wsim(d.cfg, ws.pf);
+        Simulator wsim(d.cfg, ws.pf, std::move(ws.prefetcher));
         armDeadline(wsim.core(), ctx.opts.runTimeoutSeconds);
         Status s = wsim.runWarm(*ws.source, d.scale.warm);
         if (!s.ok()) {
@@ -334,7 +366,7 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
         out.status = ss.status;
         return out;
     }
-    Simulator sim(d.cfg, ss.pf);
+    Simulator sim(d.cfg, ss.pf, std::move(ss.prefetcher));
     armDeadline(sim.core(), ctx.opts.runTimeoutSeconds);
     Status rs = sim.restoreCheckpoint(entry.blob, *ss.source);
     if (!rs.ok()) {
@@ -393,16 +425,13 @@ executeCmp(const RunDesc &d, const ExecContext &ctx)
         sources.push_back(owned.back().get());
     }
 
-    {
-        StatusOr<std::unique_ptr<Prefetcher>> probe =
-            tryCreatePrefetcher(d.pf);
-        if (!probe.ok()) {
-            out.status = probe.status().withContext(runLabel(d));
-            return out;
-        }
+    StatusOr<std::unique_ptr<Prefetcher>> pf = tryCreatePrefetcher(d.pf);
+    if (!pf.ok()) {
+        out.status = pf.status().withContext(runLabel(d));
+        return out;
     }
 
-    CmpSystem sys(d.cfg, d.pf, d.cores);
+    CmpSystem sys(d.cfg, d.pf, pf.take(), d.cores);
     for (unsigned i = 0; i < d.cores; ++i)
         armDeadline(sys.core(i), ctx.opts.runTimeoutSeconds);
     StatusOr<CmpResults> r =
@@ -570,7 +599,15 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                 emitTerminal(i, results[i]);
     }
 
+    // Single-core descriptors fork from a warm checkpoint; CMP ones
+    // always run cold (see executeCmp).
     WarmCache warm;
+    auto forksWarm = [&](std::size_t i) {
+        return opts_.warmReuse && descs[i].cores <= 1;
+    };
+    for (std::size_t i = 0; i < descs.size(); ++i)
+        if (todo[i] && forksWarm(i))
+            warm.expect(warmFingerprint(descs[i]));
     std::atomic<std::uint64_t> retries{0}, backoffMs{0}, warmBuilds{0},
         warmForks{0}, coldFallbacks{0};
     ExecContext ctx;
@@ -607,6 +644,8 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(delay));
         }
+        if (forksWarm(i))
+            warm.finished(warmFingerprint(d));
         results[i] = out;
         if (out.ok()) {
             liveCompleted.fetch_add(1, std::memory_order_relaxed);

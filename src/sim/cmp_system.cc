@@ -15,8 +15,14 @@ namespace ebcp
 
 CmpSystem::CmpSystem(const SimConfig &cfg, const PrefetcherParams &pf,
                      unsigned cores, std::uint64_t quantum)
+    : CmpSystem(cfg, pf, createPrefetcher(pf), cores, quantum)
+{}
+
+CmpSystem::CmpSystem(const SimConfig &cfg, const PrefetcherParams &pf,
+                     std::unique_ptr<Prefetcher> prefetcher,
+                     unsigned cores, std::uint64_t quantum)
     : cfg_(cfg), pf_(pf), cores_(cores), quantum_(quantum), mem_(cfg.mem),
-      prefetcher_(createPrefetcher(pf))
+      prefetcher_(std::move(prefetcher))
 {
     fatal_if(cores == 0, "CMP needs at least one core");
     fatal_if(quantum == 0, "CMP quantum must be positive");

@@ -66,6 +66,12 @@ class CmpSystem
     CmpSystem(const SimConfig &cfg, const PrefetcherParams &pf,
               unsigned cores, std::uint64_t quantum = 100);
 
+    /** As above, but adopt @p prefetcher, already built from @p pf
+     * (see the matching Simulator constructor). */
+    CmpSystem(const SimConfig &cfg, const PrefetcherParams &pf,
+              std::unique_ptr<Prefetcher> prefetcher, unsigned cores,
+              std::uint64_t quantum = 100);
+
     /**
      * Run all cores, interleaved, for @p warm then @p measure
      * instructions per core.

@@ -13,7 +13,12 @@ namespace ebcp
 {
 
 Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf)
-    : cfg_(cfg), pf_(pf), mem_(cfg.mem), prefetcher_(createPrefetcher(pf))
+    : Simulator(cfg, pf, createPrefetcher(pf))
+{}
+
+Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
+                     std::unique_ptr<Prefetcher> prefetcher)
+    : cfg_(cfg), pf_(pf), mem_(cfg.mem), prefetcher_(std::move(prefetcher))
 {
     l2side_ = std::make_unique<L2Subsystem>(cfg_, mem_, *prefetcher_);
     hier_ = std::make_unique<Hierarchy>(cfg_, *l2side_, 0);

@@ -30,6 +30,12 @@ class Simulator
   public:
     Simulator(const SimConfig &cfg, const PrefetcherParams &pf);
 
+    /** As above, but adopt @p prefetcher, already built from @p pf
+     * (e.g. by tryCreatePrefetcher(), so a caller can turn a bad name
+     * into a coded error without building the engine twice). */
+    Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
+              std::unique_ptr<Prefetcher> prefetcher);
+
     /**
      * Warm caches and predictors for @p warm_insts instructions, then
      * measure for @p measure_insts.

@@ -1,8 +1,15 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) for trace-file
- * integrity checking. Table-driven, one byte per step; fast enough for
- * trace I/O, which is already fread/fwrite-bound.
+ * CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) guarding trace
+ * files, checkpoints, the sweep journal and telemetry lines.
+ *
+ * Slice-by-16: sixteen independent table lookups fold sixteen input
+ * bytes per step, in portable C++ with no alignment requirement, and
+ * a bytewise tail finishes the last 0-15 bytes. The values are those
+ * of the classic one-byte-per-step loop (tests/test_crc32.cc keeps
+ * that loop as its oracle). Speed matters here because every
+ * warm-fork checkpoint is CRC'd once when written and once per
+ * restore.
  */
 
 #ifndef EBCP_UTIL_CRC32_HH

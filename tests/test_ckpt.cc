@@ -7,9 +7,9 @@
  * crash), the sweep journal's torn-line tolerance, and deterministic
  * retry backoff.
  *
- * CkptRoundtrip.* and CkptCorpus.* are also registered as dedicated
- * ctest entries (ckpt_roundtrip, ckpt_corruption_corpus) which
- * check.sh stage 5 runs under ASan/UBSan.
+ * CkptRoundtrip.*, CkptCorpus.* and CkptFormat.* are also registered
+ * as dedicated ctest entries (ckpt_roundtrip, ckpt_corruption_corpus,
+ * ckpt_format) which check.sh stage 7 runs under ASan/UBSan.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +17,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "ckpt/archiver.hh"
 #include "ckpt/checkpoint.hh"
+#include "fuzz/sim_fixture.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
 #include "sim/simulator.hh"
@@ -87,10 +92,14 @@ warmAndMeasure(const SimConfig &cfg, const PrefetcherParams &pf,
     return out;
 }
 
+/** A temp path private to this process: ctest runs each test and the
+ * dedicated ckpt_* entries as separate processes, possibly at the
+ * same time, all in one TempDir(). */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "/" + name;
+    return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" +
+           name;
 }
 
 } // namespace
@@ -522,6 +531,96 @@ TEST(CkptRoundtrip, TraceCursorResumesMidStream)
         ASSERT_EQ(ra.addr, rb.addr);
         ASSERT_EQ(static_cast<int>(ra.op), static_cast<int>(rb.op));
     }
+}
+
+// ---------------------------------------------------------------------
+// Container format identity and reader view lifetime.
+// ---------------------------------------------------------------------
+
+TEST(CkptFormat, FixtureCheckpointMatchesCommittedPristineBytes)
+{
+    // The configuration fuzz_make_seeds used for the committed
+    // corpus: any change to the container or to a section's bytes
+    // shows up here as a byte difference.
+    Simulator sim(ebcp_fuzz::fuzzConfig(), ebcp_fuzz::fuzzPrefetcher());
+    auto src = makeWorkload("database");
+    ASSERT_TRUE(sim.runWarm(*src, ebcp_fuzz::kFixtureWarmInsts).ok());
+    StatusOr<std::string> blob = sim.serializeCheckpoint(*src);
+    ASSERT_TRUE(blob.ok()) << blob.status().toString();
+
+    StatusOr<std::string> pristine = ckpt::readFile(
+        std::string(EBCP_FUZZ_CORPUS_DIR) + "/ckpt_restore/pristine.ckpt");
+    ASSERT_TRUE(pristine.ok()) << pristine.status().toString();
+    ASSERT_EQ(blob.value().size(), pristine.value().size());
+    EXPECT_TRUE(blob.value() == pristine.value())
+        << "serialized checkpoint differs from the committed "
+           "pristine.ckpt";
+}
+
+TEST(CkptFormat, FileReaderViewsSurviveMoveAndCopy)
+{
+    const std::string path = tempPath("ckpt_reader_lifetime.ckpt");
+    std::vector<std::uint64_t> big(4096);
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = i * 0x9e3779b97f4a7c15ULL;
+    {
+        ckpt::CheckpointWriter w(0x5eed);
+        ASSERT_TRUE(w.section("small", [](ckpt::Archiver &ar) {
+            std::uint32_t v = 42;
+            ar.u32(v);
+        }).ok());
+        ASSERT_TRUE(w.section("big", [&](ckpt::Archiver &ar) {
+            ar.vecU64(big);
+        }).ok());
+        ASSERT_TRUE(w.section("empty", [](ckpt::Archiver &) {}).ok());
+        ASSERT_TRUE(w.writeAtomic(path).ok());
+    }
+
+    auto readAll = [&](const ckpt::CheckpointReader &r) {
+        std::uint32_t small = 0;
+        std::vector<std::uint64_t> got;
+        EXPECT_TRUE(r.section("small", [&](ckpt::Archiver &ar) {
+            ar.u32(small);
+        }).ok());
+        EXPECT_TRUE(r.section("big", [&](ckpt::Archiver &ar) {
+            ar.vecU64(got);
+        }).ok());
+        EXPECT_TRUE(r.section("empty", [](ckpt::Archiver &) {}).ok());
+        EXPECT_EQ(small, 42u);
+        EXPECT_EQ(got, big);
+    };
+
+    std::optional<ckpt::CheckpointReader> copy, moved;
+    {
+        StatusOr<ckpt::CheckpointReader> r =
+            ckpt::CheckpointReader::fromFile(path, 0x5eed);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        copy.emplace(r.value());
+        moved.emplace(r.take());
+    }
+    // The file is gone and the original reader destroyed: the copies
+    // must still read every section from the bytes they share.
+    std::remove(path.c_str());
+    readAll(*copy);
+    copy.reset();
+    readAll(*moved);
+    ckpt::CheckpointReader reassigned = std::move(*moved);
+    moved.reset();
+    readAll(reassigned);
+}
+
+TEST(CkptFormat, WriterIsSpentAfterSerialize)
+{
+    ckpt::CheckpointWriter w(0);
+    ASSERT_TRUE(w.section("s", [](ckpt::Archiver &ar) {
+        std::uint8_t v = 1;
+        ar.u8(v);
+    }).ok());
+    StatusOr<std::string> first = w.serialize();
+    ASSERT_TRUE(first.ok());
+    EXPECT_TRUE(ckpt::CheckpointReader::fromBuffer(first.value(), 0).ok());
+    EXPECT_FALSE(w.serialize().ok());
+    EXPECT_FALSE(w.section("t", [](ckpt::Archiver &) {}).ok());
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <unistd.h>
+
 #include "harness/journal.hh"
 #include "harness/options.hh"
 #include "harness/sweep.hh"
@@ -219,8 +221,11 @@ TEST(SweepDeterminism, JournalResumeMergesBitIdentical)
     const std::vector<RunDesc> first(descs.begin(),
                                      descs.begin() + half);
 
-    const std::string path =
-        ::testing::TempDir() + "/sweep_resume.jsonl";
+    // Per-process path: sweep_determinism_jobs4 runs this test too,
+    // possibly beside its own ctest entry.
+    const std::string path = ::testing::TempDir() + "/" +
+                             std::to_string(::getpid()) +
+                             "_sweep_resume.jsonl";
     std::remove(path.c_str());
 
     SweepOptions opts;
@@ -294,6 +299,38 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
     EXPECT_EQ(st.warmBuilds, 4u); // one per (workload, pf) pair
     EXPECT_EQ(st.warmForks, descs.size());
     EXPECT_EQ(st.coldFallbacks, 0u);
+}
+
+TEST(SweepRunnerTest, WarmImageLivesUntilItsLastForkFinishes)
+{
+    // Each warm image is freed once the last descriptor forking from
+    // it has finished. Spreading the sharers apart at jobs=1 makes a
+    // premature free visible as a second warm build of the same
+    // point, and a forked result that differs from a cold run.
+    std::vector<RunDesc> descs;
+    for (int k = 1; k <= 3; ++k) {
+        for (const char *w : {"database", "tpcw"}) {
+            RunDesc d = makeDesc(w, "ebcp");
+            d.scale.measure = k * kMeasure / 2;
+            descs.push_back(d);
+        }
+    }
+
+    SweepRunner cold(1);
+    const std::vector<RunResult> want = cold.run(descs);
+
+    SweepOptions opts;
+    opts.warmReuse = true;
+    SweepRunner warm(1, opts);
+    const std::vector<RunResult> got = warm.run(descs);
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+        ASSERT_TRUE(got[i].ok()) << got[i].status.toString();
+        EXPECT_TRUE(got[i].warmForked) << i;
+        expectBitIdentical(got[i].results, want[i].results,
+                           runLabel(descs[i]));
+    }
+    EXPECT_EQ(warm.stats().warmBuilds, 2u);
+    EXPECT_EQ(warm.stats().warmForks, descs.size());
 }
 
 TEST(SweepRunnerTest, RetryAccountingIsDeterministic)

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "harness/sweep.hh"
 #include "harness/telemetry.hh"
 #include "util/json.hh"
@@ -28,12 +30,16 @@ using namespace ebcp::harness;
 namespace
 {
 
-/** A temp path that removes itself. */
+/** A temp path that removes itself. The process id keeps it private
+ * to this process: ctest runs each test and the dedicated
+ * telemetry_determinism entry as separate processes, possibly at the
+ * same time, all in one TempDir(). */
 struct TempFile
 {
     std::string path;
     explicit TempFile(const char *name)
-        : path(std::string(::testing::TempDir()) + name)
+        : path(std::string(::testing::TempDir()) +
+               std::to_string(::getpid()) + "_" + name)
     {}
     ~TempFile() { std::remove(path.c_str()); }
 };
