@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "sim/cmp_system.hh"
 #include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
@@ -75,6 +76,78 @@ constexpr Golden kGoldens[] = {
      0x1.1566abc011567p-12, 0x1p+0,
      0x1.849577253f42ep-4, 0x1.d124f520ff0fbp-5},
 };
+
+/** A 4-core run on database: per-core insts and cycles, then the
+ * whole-system epochs, CPI, coverage, accuracy and timeliness. */
+struct CmpGolden
+{
+    const char *pf;
+    std::uint64_t insts[4], cycles[4];
+    std::uint64_t epochs;
+    double cpi, coverage, accuracy, timeliness;
+};
+
+constexpr unsigned kCmpCores = 4;
+
+// Captured at warm=200k / measure=400k per core from the tree that
+// still had a separate CMP driver, before the two drivers merged.
+constexpr CmpGolden kCmpGoldens[] = {
+    {"null",
+     {400000, 400000, 400000, 400000},
+     {4126267, 4126261, 4121759, 4126053},
+     6547, 0x1.4a01bda5119cep+3, 0x0p+0, 0x0p+0, 0x0p+0},
+    {"ebcp",
+     {400000, 400000, 400000, 400000},
+     {4069328, 4068754, 4064252, 4068546},
+     6446, 0x1.456ae7d566cf4p+3, 0x1.54b5a5b14ec5ep-6,
+     0x1.1a8ab3cca0f69p-1, 0x1.dac37dac37dacp-2},
+    {"solihin-6-1",
+     {400000, 400000, 400000, 400000},
+     {4034327, 4033259, 4028757, 4033051},
+     6387, 0x1.42967f4dbdf8fp+3, 0x1.73aee34d101dbp-5,
+     0x1.d0de1a78bc879p-2, 0x1.999999999999ap-3},
+};
+
+PrefetcherParams
+cmpPrefetcher(const CmpGolden &g)
+{
+    PrefetcherParams pf;
+    pf.name = g.pf;
+    pf.ebcp.numCoreStates = kCmpCores;
+    return pf;
+}
+
+/** One workload instance per core, seeded as runCmp() seeds them. */
+struct CmpSources
+{
+    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+    std::vector<TraceSource *> ptrs;
+
+    CmpSources()
+    {
+        for (unsigned i = 0; i < kCmpCores; ++i) {
+            owned.push_back(makeWorkload("database", 1000 + i));
+            ptrs.push_back(owned.back().get());
+        }
+    }
+};
+
+void
+expectCmpGolden(const CmpResults &r, const CmpGolden &g)
+{
+    ASSERT_EQ(r.perCore.size(), kCmpCores);
+    for (unsigned i = 0; i < kCmpCores; ++i) {
+        EXPECT_EQ(r.perCore[i].insts, g.insts[i]) << "core " << i;
+        EXPECT_EQ(r.perCore[i].cycles, g.cycles[i]) << "core " << i;
+    }
+    const SimResults all = foldCmpResults(r);
+    EXPECT_EQ(all.epochs, g.epochs);
+    // EXPECT_EQ on doubles is exact comparison -- deliberate.
+    EXPECT_EQ(all.cpi, g.cpi);
+    EXPECT_EQ(all.coverage, g.coverage);
+    EXPECT_EQ(all.accuracy, g.accuracy);
+    EXPECT_EQ(all.timeliness, g.timeliness);
+}
 
 } // namespace
 
@@ -150,6 +223,58 @@ TEST(GoldenResults, RestoredRunsReproduceGoldensExactly)
         EXPECT_EQ(r.accuracy, g.accuracy);
         EXPECT_EQ(r.readBusUtil, g.readBusUtil);
         EXPECT_EQ(r.writeBusUtil, g.writeBusUtil);
+    }
+}
+
+TEST(GoldenResults, CmpBitExactAcrossPrefetchers)
+{
+    for (const CmpGolden &g : kCmpGoldens) {
+        SCOPED_TRACE(g.pf);
+        const CmpResults r = runCmp(SimConfig{}, cmpPrefetcher(g),
+                                    "database", kCmpCores, kWarm, kMeasure);
+        expectCmpGolden(r, g);
+    }
+}
+
+TEST(GoldenResults, CmpRestoredRunsReproduceGoldensExactly)
+{
+    for (const CmpGolden &g : kCmpGoldens) {
+        SCOPED_TRACE(g.pf);
+        std::string blob;
+        {
+            CmpSystem sys(SimConfig{}, cmpPrefetcher(g), kCmpCores);
+            CmpSources src;
+            ASSERT_TRUE(sys.runWarm(src.ptrs, kWarm).ok());
+            StatusOr<std::string> b = sys.serializeCheckpoint(src.ptrs);
+            ASSERT_TRUE(b.ok()) << b.status().toString();
+            blob = b.take();
+        }
+
+        CmpSystem sys(SimConfig{}, cmpPrefetcher(g), kCmpCores);
+        CmpSources src;
+        ASSERT_TRUE(sys.restoreCheckpoint(blob, src.ptrs).ok());
+        StatusOr<CmpResults> r = sys.runMeasure(src.ptrs, kMeasure);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        expectCmpGolden(r.value(), g);
+    }
+}
+
+TEST(GoldenResults, OneCoreCmpEqualsSimulator)
+{
+    // One core through the CMP entry point is the plain simulator on
+    // the same (seed-1000) source.
+    for (const char *name : {"null", "ebcp"}) {
+        SCOPED_TRACE(name);
+        PrefetcherParams pf;
+        pf.name = name;
+        const CmpResults cmp =
+            runCmp(SimConfig{}, pf, "database", 1, kWarm, kMeasure);
+        auto src = makeWorkload("database", 1000);
+        const SimResults one = runOnce(SimConfig{}, pf, *src, kWarm, kMeasure);
+        ASSERT_EQ(cmp.perCore.size(), 1u);
+        EXPECT_EQ(cmp.perCore[0].cycles, one.cycles);
+        EXPECT_EQ(cmp.perCore[0].cycles, 2041972u);
+        EXPECT_EQ(foldCmpResults(cmp).cpi, one.cpi);
     }
 }
 
