@@ -81,7 +81,9 @@ printHelp()
         "  trace=PATH          replay a trace file instead\n"
         "  seed=N              workload seed override\n"
         "  warm=N measure=N    window sizes (insts)\n"
-        "  cores=N             CMP mode with N cores (workloads only)\n"
+        "  cores=N             cores sharing the L2 (default 1); each\n"
+        "                      runs its own workload instance, so\n"
+        "                      trace= needs cores=1\n"
         "  dump_stats=0|1      dump every statistic after the run\n"
         "\n"
         "prefetcher:\n"
@@ -90,7 +92,7 @@ printHelp()
         "  table_entries=N     EBCP/Solihin table entries (pow2)\n"
         "  train_all=0|1       EBCP: key every oldest-epoch miss\n"
         "  on_chip_table=0|1   EBCP: idealized zero-cost table\n"
-        "  per_core=0|1        EBCP: per-core EMABs in CMP mode\n"
+        "  per_core=0|1        EBCP: per-core EMABs when cores>1\n"
         "  composite_engines=A,B,...\n"
         "                      composite: child engines, by factory\n"
         "                      name (default stream,dcpt,amc,ebcp)\n"
@@ -127,7 +129,7 @@ printHelp()
         "                      on a violation: keep running and report,\n"
         "                      or stop the run with an error\n"
         "\n"
-        "checkpointing (single-core):\n"
+        "checkpointing:\n"
         "  save_ckpt=PATH      snapshot the warmed state to PATH\n"
         "                      (written atomically) before measuring\n"
         "  restore_ckpt=PATH   restore warm state from PATH instead of\n"
@@ -145,7 +147,9 @@ printHelp()
         "                      watchdog diagnostics on stalls)\n"
         "  interval=N          snapshot statistics every N measured\n"
         "                      insts; the series lands in stats_json's\n"
-        "                      \"intervals\" member (single-core only).\n"
+        "                      \"intervals\" member. With cores=N a\n"
+        "                      snapshot is taken once every core has\n"
+        "                      passed the boundary.\n"
         "                      With trace_out= it also drives counter\n"
         "                      tracks (MSHR / prefetch-buffer / table\n"
         "                      occupancy, per-source accuracy)\n"
@@ -428,6 +432,8 @@ main(int argc, char **argv)
 
     const unsigned cores =
         static_cast<unsigned>(cs.getU64("cores", 1));
+    if (cores == 0)
+        return fail(invalidArgError("cores= must be at least 1"));
 
     PrefetcherParams pf;
     pf.name = cs.getString("prefetcher", "ebcp");
@@ -474,100 +480,18 @@ main(int argc, char **argv)
     const std::uint64_t warm = cs.getU64("warm", 2'000'000);
     const std::uint64_t measure = cs.getU64("measure", 4'000'000);
 
-    if (cores > 1) {
-        if (cs.has("trace"))
-            return fail(invalidArgError(
-                "CMP mode replays workloads only"));
-        if (interval)
-            return fail(invalidArgError(
-                "interval= sampling is single-core only"));
-        if (!save_ckpt.empty() || !restore_ckpt.empty())
-            return fail(invalidArgError(
-                "save_ckpt=/restore_ckpt= are single-core only; use "
-                "the sweep runner's warm-reuse machinery for CMP "
-                "configurations"));
-        const std::string workload =
-            cs.getString("workload", "database");
-        telem.open(telemetry_out, metrics_out,
-                   workload + "/" + pf.name + "/cmp" +
-                       std::to_string(cores));
+    if (cores > 1 && cs.has("trace"))
+        return fail(invalidArgError(
+            "trace= replays one file, which cannot feed ", cores,
+            " cores; use workload= with cores="));
 
-        CmpSystem sys(cfg, pf, cores);
-        if (Status s = sys.configureAudit(audit_opts); !s.ok())
-            return fail(s);
-        TraceLog tlog;
-        if (!trace_out.empty())
-            sys.attachTraceLog(tlog);
-        sys.setTracePolicyName(policy_name);
-        std::vector<std::unique_ptr<SyntheticWorkload>> owned;
-        std::vector<TraceSource *> sources;
-        for (unsigned i = 0; i < cores; ++i) {
-            StatusOr<std::unique_ptr<SyntheticWorkload>> w =
-                tryMakeWorkload(workload, 1000 + i);
-            if (!w.ok())
-                return fail(w.status());
-            owned.push_back(w.take());
-            sources.push_back(owned.back().get());
-        }
-        StatusOr<CmpResults> res = sys.tryRun(sources, warm, measure);
-        if (!res.ok()) {
-            // Best-effort artifacts: a stalled run's trace and
-            // diagnostic are exactly what the operator needs next.
-            if (!stats_json_path.empty()) {
-                Status s =
-                    exportStatsDoc(stats_json_path, [](JsonWriter &) {},
-                                   sys.lastDiagnosticJson(),
-                                   sys.auditSummaryJson());
-                if (!s.ok())
-                    std::cerr << "ebcp_cli: stats_json export failed: "
-                              << s.toString() << "\n";
-            }
-            if (!trace_out.empty())
-                exportTrace(tlog, trace_out);
-            telem.finish(res.status(), 0);
-            return fail(res.status());
-        }
-        CmpResults r = res.take();
-        telem.finish(Status(), foldCmpResults(r).insts);
-        std::cout << cores << "-core '" << workload << "' with "
-                  << pf.name << ":\n  aggregate CPI "
-                  << r.aggregateCpi << ", coverage "
-                  << r.coverage * 100.0 << "%, accuracy "
-                  << r.accuracy * 100.0 << "%, timeliness "
-                  << r.timeliness * 100.0 << "%\n";
-        for (unsigned i = 0; i < cores; ++i)
-            std::cout << "  core " << i << ": CPI "
-                      << r.perCore[i].cpi << "\n";
-        printAuditSummary(sys.auditor());
-
-        if (!trace_out.empty())
-            if (int rc = exportTrace(tlog, trace_out))
-                return rc;
-        if (!stats_json_path.empty()) {
-            const std::string label = workload + "/" + pf.name +
-                                      "/cmp" + std::to_string(cores);
-            const SimResults folded = foldCmpResults(r);
-            Status s = exportStatsDoc(
-                stats_json_path,
-                [&](JsonWriter &w) {
-                    w.beginObject();
-                    w.kv("label", label);
-                    w.key("results");
-                    writeSimResultsJson(w, folded);
-                    w.endObject();
-                },
-                {}, sys.auditSummaryJson());
-            if (!s.ok())
-                return fail(s);
-            std::cout << "  wrote " << stats_json_path << " (schema "
-                      << StatsJsonSchema << ", validated)\n";
-        }
-        return 0;
-    }
-
-    // Build the trace source chain: file or workload, optionally
-    // wrapped in the fault injector.
-    std::unique_ptr<TraceSource> src;
+    // Build the trace sources, one per core: a file or workload
+    // instances, each optionally wrapped in the fault injector. One
+    // core replays seed=; several cores run independent instances
+    // with seeds derived from it (1000, 1001, ... when it is unset).
+    std::vector<std::unique_ptr<TraceSource>> owned;
+    std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors;
+    std::vector<TraceSource *> sources;
     FileTraceSource *file_src = nullptr;
     std::string source_name;
     if (cs.has("trace")) {
@@ -577,29 +501,37 @@ main(int argc, char **argv)
         if (!f.ok())
             return fail(f.status());
         file_src = f.value().get();
-        src = f.take();
+        owned.push_back(f.take());
     } else {
         source_name = cs.getString("workload", "database");
-        StatusOr<std::unique_ptr<SyntheticWorkload>> w =
-            tryMakeWorkload(source_name, cs.getU64("seed", 0));
-        if (!w.ok())
-            return fail(w.status());
-        src = w.take();
+        const std::uint64_t seed = cs.getU64("seed", 0);
+        for (unsigned i = 0; i < cores; ++i) {
+            StatusOr<std::unique_ptr<SyntheticWorkload>> w =
+                tryMakeWorkload(source_name, cores == 1 ? seed
+                                             : seed     ? seed + i
+                                                        : 1000 + i);
+            if (!w.ok())
+                return fail(w.status());
+            owned.push_back(w.take());
+        }
     }
-
-    std::unique_ptr<FaultInjectingTraceSource> injector;
-    TraceSource *run_src = src.get();
-    if (cfg.faults.traceBitflip || cfg.faults.traceTruncate ||
-        cfg.faults.traceShortRead) {
-        injector = std::make_unique<FaultInjectingTraceSource>(
-            *src, cfg.faults);
-        run_src = injector.get();
+    for (auto &src : owned) {
+        sources.push_back(src.get());
+        if (cfg.faults.traceBitflip || cfg.faults.traceTruncate ||
+            cfg.faults.traceShortRead) {
+            injectors.push_back(std::make_unique<FaultInjectingTraceSource>(
+                *src, cfg.faults));
+            sources.back() = injectors.back().get();
+        }
     }
-    telem.open(telemetry_out, metrics_out, source_name + "/" + pf.name);
+    const std::string label =
+        source_name + "/" + pf.name +
+        (cores > 1 ? "/cmp" + std::to_string(cores) : "");
+    telem.open(telemetry_out, metrics_out, label);
 
     TraceLog tlog;
     std::unique_ptr<IntervalSampler> sampler;
-    auto sim = std::make_unique<Simulator>(cfg, pf);
+    auto sim = std::make_unique<Simulator>(cfg, pf, cores);
     // Setup is a lambda because a rebuild-policy fallback after a bad
     // checkpoint constructs a fresh simulator and must redo it.
     auto setupSim = [&](Simulator &s) -> Status {
@@ -620,7 +552,7 @@ main(int argc, char **argv)
 
     bool cold = true;
     if (!restore_ckpt.empty()) {
-        Status rs = sim->restoreCheckpointFile(restore_ckpt, *run_src);
+        Status rs = sim->restoreCheckpointFile(restore_ckpt, sources);
         if (rs.ok()) {
             cold = false;
             std::cout << "  restored checkpoint " << restore_ckpt
@@ -632,24 +564,25 @@ main(int argc, char **argv)
             // component state, so start over from scratch.
             warn("checkpoint '", restore_ckpt, "' unusable (",
                  rs.toString(), "); rebuilding warm state cold");
-            sim = std::make_unique<Simulator>(cfg, pf);
+            sim = std::make_unique<Simulator>(cfg, pf, cores);
             if (Status s = setupSim(*sim); !s.ok())
                 return fail(s);
-            run_src->reset();
+            for (TraceSource *src : sources)
+                src->reset();
         }
     }
 
-    StatusOr<SimResults> res = [&]() -> StatusOr<SimResults> {
+    StatusOr<CmpResults> res = [&]() -> StatusOr<CmpResults> {
         if (cold)
-            if (Status ws = sim->runWarm(*run_src, warm); !ws.ok())
+            if (Status ws = sim->runWarm(sources, warm); !ws.ok())
                 return ws;
         if (!save_ckpt.empty()) {
-            if (Status ss = sim->saveCheckpoint(save_ckpt, *run_src);
+            if (Status ss = sim->saveCheckpoint(save_ckpt, sources);
                 !ss.ok())
                 return ss;
             std::cout << "  wrote checkpoint " << save_ckpt << "\n";
         }
-        return sim->runMeasure(*run_src, measure);
+        return sim->runMeasure(sources, measure);
     }();
     if (!res.ok()) {
         // Best-effort artifacts: the trace up to the stall and the
@@ -668,12 +601,18 @@ main(int argc, char **argv)
         telem.finish(res.status(), 0);
         return fail(res.status());
     }
-    SimResults r = res.take();
+    const CmpResults r = res.take();
     telem.finish(Status(), r.insts);
 
+    if (cores > 1)
+        std::cout << cores << "-core ";
     std::cout << "'" << source_name << "' with " << pf.name << ":\n"
-              << "  CPI " << r.cpi << "\n"
-              << "  epochs/1000 insts " << r.epochsPer1k << "\n"
+              << "  CPI " << r.cpi << "\n";
+    if (cores > 1)
+        for (unsigned i = 0; i < cores; ++i)
+            std::cout << "  core " << i << ": CPI " << r.perCore[i].cpi
+                      << "\n";
+    std::cout << "  epochs/1000 insts " << r.epochsPer1k << "\n"
               << "  L2 miss/1000: inst " << r.l2InstMissPer1k
               << ", load " << r.l2LoadMissPer1k << "\n"
               << "  coverage " << r.coverage * 100.0 << "%, accuracy "
@@ -690,7 +629,7 @@ main(int argc, char **argv)
     printAuditSummary(sim->auditor());
 
     // Robustness report: what was injected, what was recovered.
-    if (injector)
+    for (const auto &injector : injectors)
         std::cout << "  faults injected: " << injector->bitflipsInjected()
                   << " bitflips, " << injector->shortReadsInjected()
                   << " short reads (" << injector->recordsDropped()
@@ -708,7 +647,7 @@ main(int argc, char **argv)
 
     if (cs.getBool("dump_stats", false)) {
         sim->dumpStats(std::cout);
-        if (injector)
+        for (const auto &injector : injectors)
             injector->stats().dump(std::cout);
         if (file_src)
             file_src->stats().dump(std::cout);
@@ -722,7 +661,7 @@ main(int argc, char **argv)
             stats_json_path,
             [&](JsonWriter &w) {
                 w.beginObject();
-                w.kv("label", source_name + "/" + pf.name);
+                w.kv("label", label);
                 w.key("results");
                 writeSimResultsJson(w, r);
                 w.key("stats");

@@ -50,7 +50,8 @@ struct RunDesc
      */
     std::uint64_t seed = 0;
 
-    /** Core count; >1 runs a CmpSystem with a shared L2. */
+    /** Core count; the cores share the L2, each running its own
+     * workload instance. */
     unsigned cores = 1;
 };
 

@@ -211,59 +211,73 @@ liveRunStateJson(const RunDesc &d, const char *state)
 }
 
 void
-armDeadline(CoreModel &core, double seconds)
+armDeadline(Simulator &sim, double seconds)
 {
     if (seconds <= 0.0)
         return;
-    core.setWallDeadline(
+    const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(seconds)));
+            std::chrono::duration<double>(seconds));
+    for (unsigned i = 0; i < sim.cores(); ++i)
+        sim.core(i).setWallDeadline(deadline);
 }
 
 /** Name the failure when the wall budget, not a retire gap, tripped. */
 Status
-timeoutContext(Status s, const CoreModel &core, double seconds)
+timeoutContext(Status s, Simulator &sim, double seconds)
 {
-    if (!s.ok() && core.wallDeadlineTripped())
-        return s.withContext(logFormat("run exceeded the ", seconds,
-                                       "s wall-clock budget"));
+    for (unsigned i = 0; i < sim.cores() && !s.ok(); ++i)
+        if (sim.core(i).wallDeadlineTripped())
+            return s.withContext(logFormat("run exceeded the ", seconds,
+                                           "s wall-clock budget"));
     return s;
 }
 
-/** The trace-source stack, effective prefetcher params and the
- * prefetcher built from them for one single-core run; mirrors
- * examples/ebcp_cli's wiring, including the fault-injection wrapper
+/** The trace sources (one per core), effective prefetcher params and
+ * the prefetcher built from them for one run; mirrors
+ * examples/ebcp_cli's wiring, including the fault-injection wrappers
  * and the EBCP-side fault plan. */
-struct SingleSource
+struct RunSources
 {
-    std::unique_ptr<SyntheticWorkload> owned;
-    std::unique_ptr<FaultInjectingTraceSource> injector;
-    TraceSource *source = nullptr;
+    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+    std::vector<std::unique_ptr<FaultInjectingTraceSource>> injectors;
+    std::vector<TraceSource *> sources;
     PrefetcherParams pf;
     std::unique_ptr<Prefetcher> prefetcher;
     Status status;
 };
 
-SingleSource
-buildSingleSource(const RunDesc &d)
+RunSources
+buildSources(const RunDesc &d)
 {
-    SingleSource out;
-    StatusOr<std::unique_ptr<SyntheticWorkload>> src =
-        tryMakeWorkload(d.workload, d.seed);
-    if (!src.ok()) {
-        out.status = src.status().withContext(runLabel(d));
+    RunSources out;
+    if (d.cores == 0) {
+        out.status = invalidArgError(
+            logFormat(runLabel(d), ": a run needs at least one core"));
         return out;
     }
-    out.owned = src.take();
-    out.source = out.owned.get();
-
     const FaultPlan &faults = d.cfg.faults;
-    if (faults.traceBitflip || faults.traceTruncate ||
-        faults.traceShortRead) {
-        out.injector = std::make_unique<FaultInjectingTraceSource>(
-            *out.source, faults);
-        out.source = out.injector.get();
+    for (unsigned i = 0; i < d.cores; ++i) {
+        // One core replays the descriptor's seed; several cores run
+        // independent instances with seeds derived from it.
+        const std::uint64_t seed =
+            d.cores == 1 ? d.seed : d.seed ? d.seed + i : 1000 + i;
+        StatusOr<std::unique_ptr<SyntheticWorkload>> src =
+            tryMakeWorkload(d.workload, seed);
+        if (!src.ok()) {
+            out.status = src.status().withContext(runLabel(d));
+            return out;
+        }
+        out.owned.push_back(src.take());
+        out.sources.push_back(out.owned.back().get());
+        if (faults.traceBitflip || faults.traceTruncate ||
+            faults.traceShortRead) {
+            out.injectors.push_back(
+                std::make_unique<FaultInjectingTraceSource>(
+                    *out.sources.back(), faults));
+            out.sources.back() = out.injectors.back().get();
+        }
     }
 
     out.pf = d.pf;
@@ -281,54 +295,54 @@ buildSingleSource(const RunDesc &d)
     return out;
 }
 
-/** Single-core run with a full (cold) warm-up window. */
+/** A run with a full (cold) warm-up window. */
 RunResult
-executeColdSingle(const RunDesc &d, const ExecContext &ctx)
+executeCold(const RunDesc &d, const ExecContext &ctx)
 {
     RunResult out;
-    SingleSource ss = buildSingleSource(d);
-    if (!ss.status.ok()) {
-        out.status = ss.status;
+    RunSources rs = buildSources(d);
+    if (!rs.status.ok()) {
+        out.status = rs.status;
         return out;
     }
-    Simulator sim(d.cfg, ss.pf, std::move(ss.prefetcher));
-    armDeadline(sim.core(), ctx.opts.runTimeoutSeconds);
-    StatusOr<SimResults> r =
-        sim.tryRun(*ss.source, d.scale.warm, d.scale.measure);
+    Simulator sim(d.cfg, rs.pf, std::move(rs.prefetcher), d.cores);
+    armDeadline(sim, ctx.opts.runTimeoutSeconds);
+    StatusOr<CmpResults> r =
+        sim.tryRun(rs.sources, d.scale.warm, d.scale.measure);
     if (!r.ok()) {
-        out.status = timeoutContext(r.status(), sim.core(),
-                                    ctx.opts.runTimeoutSeconds)
-                         .withContext(runLabel(d));
+        out.status =
+            timeoutContext(r.status(), sim, ctx.opts.runTimeoutSeconds)
+                .withContext(runLabel(d));
         return out;
     }
-    out.results = r.take();
+    out.results = r.value();
     return out;
 }
 
-/** Single-core run forking its measurement from the shared warm
- * checkpoint; degrades per CkptPolicy when the checkpoint is bad. */
+/** A run forking its measurement from the shared warm checkpoint;
+ * degrades per CkptPolicy when the checkpoint is bad. */
 RunResult
-executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
+executeWarm(const RunDesc &d, const ExecContext &ctx)
 {
     WarmEntry &entry = ctx.warm->entry(warmFingerprint(d));
     std::call_once(entry.once, [&] {
         if (ctx.telemetry)
             ctx.telemetry->emitLive(
                 "run_state", liveRunStateJson(d, "warm-building"));
-        SingleSource ws = buildSingleSource(d);
+        RunSources ws = buildSources(d);
         if (!ws.status.ok()) {
             entry.status = ws.status;
             return;
         }
-        Simulator wsim(d.cfg, ws.pf, std::move(ws.prefetcher));
-        armDeadline(wsim.core(), ctx.opts.runTimeoutSeconds);
-        Status s = wsim.runWarm(*ws.source, d.scale.warm);
+        Simulator wsim(d.cfg, ws.pf, std::move(ws.prefetcher), d.cores);
+        armDeadline(wsim, ctx.opts.runTimeoutSeconds);
+        Status s = wsim.runWarm(ws.sources, d.scale.warm);
         if (!s.ok()) {
-            entry.status = timeoutContext(std::move(s), wsim.core(),
+            entry.status = timeoutContext(std::move(s), wsim,
                                           ctx.opts.runTimeoutSeconds);
             return;
         }
-        StatusOr<std::string> blob = wsim.serializeCheckpoint(*ws.source);
+        StatusOr<std::string> blob = wsim.serializeCheckpoint(ws.sources);
         if (!blob.ok()) {
             entry.status = blob.status();
             return;
@@ -345,7 +359,7 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
         warn("sweep run ", runLabel(d), ": ", why, " (",
              cause.toString(),
              "); falling back to a cold warm-up (ckpt_policy=rebuild)");
-        RunResult r = executeColdSingle(d, ctx);
+        RunResult r = executeCold(d, ctx);
         r.coldFallback = true;
         if (ctx.coldFallbacks)
             ctx.coldFallbacks->fetch_add(1, std::memory_order_relaxed);
@@ -361,23 +375,23 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
         return coldFallback("warm checkpoint unavailable", entry.status);
     }
 
-    SingleSource ss = buildSingleSource(d);
-    if (!ss.status.ok()) {
-        out.status = ss.status;
+    RunSources rs = buildSources(d);
+    if (!rs.status.ok()) {
+        out.status = rs.status;
         return out;
     }
-    Simulator sim(d.cfg, ss.pf, std::move(ss.prefetcher));
-    armDeadline(sim.core(), ctx.opts.runTimeoutSeconds);
-    Status rs = sim.restoreCheckpoint(entry.blob, *ss.source);
-    if (!rs.ok()) {
-        // The failed restore half-wrote the simulator and the source;
+    Simulator sim(d.cfg, rs.pf, std::move(rs.prefetcher), d.cores);
+    armDeadline(sim, ctx.opts.runTimeoutSeconds);
+    Status restored = sim.restoreCheckpoint(entry.blob, rs.sources);
+    if (!restored.ok()) {
+        // The failed restore half-wrote the simulator and the sources;
         // both are abandoned here, never run.
         if (ctx.opts.ckptPolicy == ckpt::CkptPolicy::Strict) {
-            out.status = rs.withContext(
+            out.status = restored.withContext(
                 logFormat(runLabel(d), ": warm checkpoint restore"));
             return out;
         }
-        return coldFallback("warm checkpoint restore failed", rs);
+        return coldFallback("warm checkpoint restore failed", restored);
     }
     out.warmForked = true;
     if (ctx.warmForks)
@@ -385,67 +399,14 @@ executeWarmSingle(const RunDesc &d, const ExecContext &ctx)
     if (ctx.telemetry)
         ctx.telemetry->emitLive("run_state",
                                 liveRunStateJson(d, "warm-forked"));
-    StatusOr<SimResults> r = sim.runMeasure(*ss.source, d.scale.measure);
+    StatusOr<CmpResults> r = sim.runMeasure(rs.sources, d.scale.measure);
     if (!r.ok()) {
-        out.status = timeoutContext(r.status(), sim.core(),
-                                    ctx.opts.runTimeoutSeconds)
-                         .withContext(runLabel(d));
+        out.status =
+            timeoutContext(r.status(), sim, ctx.opts.runTimeoutSeconds)
+                .withContext(runLabel(d));
         return out;
     }
-    out.results = r.take();
-    return out;
-}
-
-RunResult
-executeSingle(const RunDesc &d, const ExecContext &ctx)
-{
-    if (ctx.warm)
-        return executeWarmSingle(d, ctx);
-    return executeColdSingle(d, ctx);
-}
-
-/** CMP path: per-core workload instances with seeds derived from the
- * descriptor seed, as runCmp() does serially. Warm reuse is a
- * single-core feature; CMP descriptors always run cold. */
-RunResult
-executeCmp(const RunDesc &d, const ExecContext &ctx)
-{
-    RunResult out;
-    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
-    std::vector<TraceSource *> sources;
-    for (unsigned i = 0; i < d.cores; ++i) {
-        const std::uint64_t seed = d.seed ? d.seed + i : 1000 + i;
-        StatusOr<std::unique_ptr<SyntheticWorkload>> src =
-            tryMakeWorkload(d.workload, seed);
-        if (!src.ok()) {
-            out.status = src.status().withContext(runLabel(d));
-            return out;
-        }
-        owned.push_back(src.take());
-        sources.push_back(owned.back().get());
-    }
-
-    StatusOr<std::unique_ptr<Prefetcher>> pf = tryCreatePrefetcher(d.pf);
-    if (!pf.ok()) {
-        out.status = pf.status().withContext(runLabel(d));
-        return out;
-    }
-
-    CmpSystem sys(d.cfg, d.pf, pf.take(), d.cores);
-    for (unsigned i = 0; i < d.cores; ++i)
-        armDeadline(sys.core(i), ctx.opts.runTimeoutSeconds);
-    StatusOr<CmpResults> r =
-        sys.tryRun(sources, d.scale.warm, d.scale.measure);
-    if (!r.ok()) {
-        Status s = r.status();
-        for (unsigned i = 0; i < d.cores; ++i)
-            s = timeoutContext(std::move(s), sys.core(i),
-                               ctx.opts.runTimeoutSeconds);
-        out.status = s.withContext(runLabel(d));
-        return out;
-    }
-
-    out.results = foldCmpResults(r.take());
+    out.results = r.value();
     return out;
 }
 
@@ -453,7 +414,7 @@ RunResult
 executeRunCtx(const RunDesc &d, const ExecContext &ctx)
 {
     try {
-        return d.cores > 1 ? executeCmp(d, ctx) : executeSingle(d, ctx);
+        return ctx.warm ? executeWarm(d, ctx) : executeCold(d, ctx);
     } catch (const std::exception &e) {
         RunResult out;
         out.status = Status(StatusCode::Corruption,
@@ -599,15 +560,12 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                 emitTerminal(i, results[i]);
     }
 
-    // Single-core descriptors fork from a warm checkpoint; CMP ones
-    // always run cold (see executeCmp).
+    // With warm reuse every descriptor forks from a warm checkpoint.
     WarmCache warm;
-    auto forksWarm = [&](std::size_t i) {
-        return opts_.warmReuse && descs[i].cores <= 1;
-    };
-    for (std::size_t i = 0; i < descs.size(); ++i)
-        if (todo[i] && forksWarm(i))
-            warm.expect(warmFingerprint(descs[i]));
+    if (opts_.warmReuse)
+        for (std::size_t i = 0; i < descs.size(); ++i)
+            if (todo[i])
+                warm.expect(warmFingerprint(descs[i]));
     std::atomic<std::uint64_t> retries{0}, backoffMs{0}, warmBuilds{0},
         warmForks{0}, coldFallbacks{0};
     ExecContext ctx;
@@ -644,7 +602,7 @@ SweepRunner::run(const std::vector<RunDesc> &descs)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(delay));
         }
-        if (forksWarm(i))
+        if (opts_.warmReuse)
             warm.finished(warmFingerprint(d));
         results[i] = out;
         if (out.ok()) {

@@ -7,8 +7,8 @@
  *
  *  - determinism: each run's SimResults are a pure function of its
  *    descriptor, so a sweep is bit-identical at jobs=1 and jobs=N;
- *  - isolation: each run builds its own Simulator/CmpSystem and trace
- *    source; a faulted run (watchdog stall, bad descriptor) yields a
+ *  - isolation: each run builds its own Simulator and trace
+ *    sources; a faulted run (watchdog stall, bad descriptor) yields a
  *    non-OK per-run Status without aborting or perturbing the rest of
  *    the sweep;
  *  - ordering: results[i] always corresponds to descs[i], regardless
@@ -17,10 +17,11 @@
  * Durability (SweepOptions, see DESIGN.md and README "Checkpoint &
  * resume"):
  *
- *  - warm-state reuse: single-core descriptors sharing a warm
- *    fingerprint (same workload/config/prefetcher/warm window) build
- *    one warm checkpoint and fork every measurement from it; forked
- *    results are bit-identical to cold runs (golden-pinned);
+ *  - warm-state reuse: descriptors sharing a warm fingerprint (same
+ *    workload/seed/core count/config/prefetcher/warm window), at any
+ *    core count, build one warm checkpoint and fork every measurement
+ *    from it; forked results are bit-identical to cold runs
+ *    (golden-pinned);
  *  - journal: finished runs append one CRC'd JSON line keyed by the
  *    descriptor fingerprint, so a killed sweep resumes with only the
  *    unfinished descriptors and the merged results are bit-identical;
@@ -108,7 +109,7 @@ bool statusRetryable(const Status &s);
 struct SweepOptions
 {
     /** Build one warm checkpoint per warm fingerprint and fork the
-     * measurement of every matching single-core run from it. */
+     * measurement of every matching run from it. */
     bool warmReuse = false;
 
     /** What a corrupt/skewed warm checkpoint does to the run. */

@@ -8,7 +8,9 @@
  * aggregates the stable surface:
  *
  *   - SimConfig / PrefetcherParams   configuration
- *   - Simulator / CmpSystem          single-core and CMP front doors
+ *   - Simulator                      the one driver, for N >= 1 cores
+ *                                    (CmpSystem: its old multi-core
+ *                                    name, a constructor only)
  *   - SimResults                     the bit-exact result record
  *   - configFingerprint()            checkpoint identity hashing
  *

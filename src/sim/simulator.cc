@@ -1,28 +1,58 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <ostream>
 #include <sstream>
 
 #include "ckpt/checkpoint.hh"
+#include "ckpt/containers.hh"
 #include "sim/ckpt_io.hh"
 #include "sim/watchdog.hh"
+#include "trace/workloads.hh"
 #include "util/logging.hh"
 #include "util/profiler.hh"
 
 namespace ebcp
 {
 
-Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf)
-    : Simulator(cfg, pf, createPrefetcher(pf))
+namespace
+{
+
+/**
+ * Name of core @p i's @p part ("core", "l1", "trace") in checkpoint
+ * sections, statistics, audit entries and watchdog labels: the bare
+ * part in a one-core system, "core<i>" / "l1.<i>" / "trace<i>" among
+ * @p cores > 1.
+ */
+std::string
+partName(const std::string &part, unsigned i, unsigned cores)
+{
+    if (cores == 1)
+        return part;
+    // A separator keeps "l1" + 0 from reading as "l10".
+    const bool digit = std::isdigit(static_cast<unsigned char>(part.back()));
+    return part + (digit ? "." : "") + std::to_string(i);
+}
+
+} // namespace
+
+Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
+                     unsigned cores)
+    : Simulator(cfg, pf, createPrefetcher(pf), cores)
 {}
 
 Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
-                     std::unique_ptr<Prefetcher> prefetcher)
+                     std::unique_ptr<Prefetcher> prefetcher, unsigned cores)
     : cfg_(cfg), pf_(pf), mem_(cfg.mem), prefetcher_(std::move(prefetcher))
 {
+    fatal_if(cores == 0, "the simulator needs at least one core");
     l2side_ = std::make_unique<L2Subsystem>(cfg_, mem_, *prefetcher_);
-    hier_ = std::make_unique<Hierarchy>(cfg_, *l2side_, 0);
-    core_ = std::make_unique<CoreModel>(cfg_.core, *hier_);
+    for (unsigned i = 0; i < cores; ++i) {
+        ports_.push_back(std::make_unique<Hierarchy>(cfg_, *l2side_, i));
+        cores_.push_back(std::make_unique<CoreModel>(cfg_.core, *ports_[i]));
+        cores_.back()->stats().setName(partName("core", i, cores));
+    }
 
     // The EBCP's table entries can span multiple transfer units at
     // high degree; charge its table traffic accordingly.
@@ -31,25 +61,36 @@ Simulator::Simulator(const SimConfig &cfg, const PrefetcherParams &pf,
             e->table().config().entryTransferBytes());
 }
 
-Status
-Simulator::stallStatus()
+Tick
+Simulator::now() const
 {
+    Tick t = 0;
+    for (const auto &c : cores_)
+        t = std::max(t, c->now());
+    return t;
+}
+
+Status
+Simulator::stallStatus(unsigned i)
+{
+    const std::string label = cores() > 1 ? partName("core", i, cores()) : "";
     WatchdogContext ctx;
     ctx.tracePolicy = tracePolicyName_;
     std::ostringstream json;
     JsonWriter w(json);
-    progressDiagnosticJson(w, "", *core_, *l2side_, mem_, *prefetcher_,
-                           ctx);
+    progressDiagnosticJson(w, label, *cores_[i], *l2side_, mem_,
+                           *prefetcher_, ctx);
     lastDiagnosticJson_ = json.str();
-    return stalledError(progressDiagnostic("", *core_, *l2side_, mem_,
-                                           *prefetcher_, ctx));
+    return stalledError(progressDiagnostic(label, *cores_[i], *l2side_,
+                                           mem_, *prefetcher_, ctx));
 }
 
 Status
 Simulator::configureAudit(const AuditOptions &opts)
 {
     if (!opts.enabled()) {
-        core_->setAuditor(nullptr);
+        for (auto &c : cores_)
+            c->setAuditor(nullptr);
         l2side_->setAuditor(nullptr);
         auditor_.reset();
         return Status();
@@ -61,7 +102,9 @@ Simulator::configureAudit(const AuditOptions &opts)
 #else
     auditor_ = std::make_unique<Auditor>(opts);
     AuditRegistry &reg = auditor_->registry();
-    reg.add("core", [this](AuditContext &c) { core_->audit(c); });
+    for (unsigned i = 0; i < cores(); ++i)
+        reg.add(partName("core", i, cores()),
+                [this, i](AuditContext &c) { cores_[i]->audit(c); });
     reg.add("l2", [this](AuditContext &c) { l2side_->l2().audit(c); });
     reg.add("l2.prefetch_buffer", [this](AuditContext &c) {
         l2side_->prefetchBuffer().audit(c);
@@ -102,10 +145,127 @@ Simulator::configureAudit(const AuditOptions &opts)
                     mem_.maxLowPriorityReadLatency());
         });
     }
-    core_->setAuditor(auditor_.get());
+    for (auto &c : cores_)
+        c->setAuditor(auditor_.get());
     l2side_->setAuditor(auditor_.get());
     return Status();
 #endif
+}
+
+Status
+Simulator::runPhase(const std::vector<TraceSource *> &sources,
+                    std::uint64_t insts_per_core, IntervalSampler *sampler)
+{
+    fatal_if(sources.size() != cores_.size(),
+             "the simulator needs one trace source per core, got ",
+             sources.size(), " for ", cores_.size());
+    for (auto &c : cores_)
+        c->setWatchdog(cfg_.watchdogTicks);
+
+    // One core runs the whole window in one run() call, or in chunks
+    // that end on the sampler's boundaries. Several cores take turns
+    // in small *randomized* quanta: each core has its own timeline,
+    // and the shared structures (L2, buses, prefetcher) see the cores'
+    // requests approximately interleaved. The jitter matters: a fixed
+    // rotation would interleave the miss streams at deterministic
+    // distances, which a distance-keyed predictor could exploit --
+    // real concurrent cores interleave stochastically.
+    const unsigned n = cores();
+    const std::uint64_t interval = sampler ? sampler->interval() : 0;
+    std::uint64_t next_sample = interval;
+    std::uint64_t sampled = 0;
+    std::vector<std::uint64_t> done(n, 0);
+    unsigned running = insts_per_core ? n : 0;
+    while (running > 0) {
+        for (unsigned i = 0; i < n; ++i) {
+            std::uint64_t chunk = insts_per_core - done[i];
+            if (n > 1)
+                chunk = std::min<std::uint64_t>(
+                    kQuantum / 2 + rng_.below(kQuantum), chunk);
+            else if (sampler)
+                chunk = std::min(interval - done[i] % interval, chunk);
+            if (chunk == 0)
+                continue;
+            CoreModel &core = *cores_[i];
+            const std::uint64_t before = core.instCount();
+            core.run(*sources[i], chunk);
+            if (core.watchdogTripped())
+                return stallStatus(i);
+            // A source that ran dry ends its core's window.
+            done[i] = core.instCount() - before < chunk ? insts_per_core
+                                                        : done[i] + chunk;
+            if (done[i] == insts_per_core)
+                --running;
+            if (auditor_ && auditor_->abortRequested())
+                return auditor_->toStatus();
+        }
+        if (!sampler)
+            continue;
+        const std::uint64_t least = *std::min_element(done.begin(), done.end());
+        if (running > 0 && least < next_sample)
+            continue;
+        next_sample = (least / interval + 1) * interval;
+        std::uint64_t measured = 0;
+        for (const auto &c : cores_)
+            measured += c->measuredInsts();
+        if (measured == sampled)
+            continue;
+        sampled = measured;
+        sampler->sample(measured);
+        if (traceLog_)
+            sampleCounterTracks();
+    }
+    return Status();
+}
+
+StatusOr<CmpResults>
+Simulator::tryRun(const std::vector<TraceSource *> &sources,
+                  std::uint64_t warm_insts, std::uint64_t measure_insts)
+{
+    if (Status s = runWarm(sources, warm_insts); !s.ok())
+        return s;
+    return runMeasure(sources, measure_insts);
+}
+
+CmpResults
+Simulator::run(const std::vector<TraceSource *> &sources,
+               std::uint64_t warm_insts, std::uint64_t measure_insts)
+{
+    StatusOr<CmpResults> r = tryRun(sources, warm_insts, measure_insts);
+    fatal_if(!r.ok(), r.status().toString());
+    return r.take();
+}
+
+Status
+Simulator::runWarm(const std::vector<TraceSource *> &sources,
+                   std::uint64_t warm_insts)
+{
+    return runPhase(sources, warm_insts, nullptr);
+}
+
+StatusOr<CmpResults>
+Simulator::runMeasure(const std::vector<TraceSource *> &sources,
+                      std::uint64_t measure_insts)
+{
+    for (unsigned i = 0; i < cores(); ++i) {
+        cores_[i]->beginMeasurement();
+        ports_[i]->beginMeasurement();
+    }
+    l2side_->beginMeasurement();
+    mem_.stats().resetAll();
+    readBusyMark_ = mem_.readChannel().busyTicks();
+    writeBusyMark_ = mem_.writeChannel().busyTicks();
+
+    if (Status s = runPhase(sources, measure_insts, sampler_); !s.ok())
+        return s;
+    // One final pass so every configured run ends with at least one
+    // full audit, whatever the cadence saw during the window.
+    if (auditor_) {
+        auditor_->runNow(now());
+        if (auditor_->abortRequested())
+            return auditor_->toStatus();
+    }
+    return collect();
 }
 
 StatusOr<SimResults>
@@ -117,95 +277,38 @@ Simulator::tryRun(TraceSource &src, std::uint64_t warm_insts,
     return runMeasure(src, measure_insts);
 }
 
-Status
-Simulator::runWarm(TraceSource &src, std::uint64_t warm_insts)
+SimResults
+Simulator::run(TraceSource &src, std::uint64_t warm_insts,
+               std::uint64_t measure_insts)
 {
-    core_->setWatchdog(cfg_.watchdogTicks);
-
-    core_->run(src, warm_insts);
-    if (core_->watchdogTripped())
-        return stallStatus();
-    if (auditor_ && auditor_->abortRequested())
-        return auditor_->toStatus();
-    return Status();
+    return run({&src}, warm_insts, measure_insts);
 }
 
 StatusOr<SimResults>
 Simulator::runMeasure(TraceSource &src, std::uint64_t measure_insts)
 {
-    core_->setWatchdog(cfg_.watchdogTicks);
-
-    core_->beginMeasurement();
-    hier_->beginMeasurement();
-    l2side_->beginMeasurement();
-    mem_.stats().resetAll();
-    readBusyMark_ = mem_.readChannel().busyTicks();
-    writeBusyMark_ = mem_.writeChannel().busyTicks();
-
-    if (!sampler_) {
-        core_->run(src, measure_insts);
-        if (core_->watchdogTripped())
-            return stallStatus();
-        if (auditor_ && auditor_->abortRequested())
-            return auditor_->toStatus();
-    } else {
-        // Drive the window in interval-sized chunks so the sampler
-        // sees exact boundaries. Bit-exact vs one run() call: the
-        // core's loop state lives entirely in its members.
-        const std::uint64_t interval = sampler_->interval();
-        std::uint64_t done = 0;
-        while (done < measure_insts) {
-            const std::uint64_t chunk = std::min(
-                interval - done % interval, measure_insts - done);
-            core_->run(src, chunk);
-            if (core_->watchdogTripped())
-                return stallStatus();
-            if (auditor_ && auditor_->abortRequested())
-                return auditor_->toStatus();
-            const std::uint64_t got = core_->measuredInsts();
-            if (got == done)
-                break; // trace exhausted
-            done = got;
-            sampler_->sample(done);
-            if (traceLog_)
-                sampleCounterTracks();
-        }
-    }
-    // One final pass so every configured run ends with at least one
-    // full audit, whatever the cadence saw during the window.
-    if (auditor_) {
-        auditor_->runNow(core_->now());
-        if (auditor_->abortRequested())
-            return auditor_->toStatus();
-    }
-    return collect();
-}
-
-SimResults
-Simulator::run(TraceSource &src, std::uint64_t warm_insts,
-               std::uint64_t measure_insts)
-{
-    StatusOr<SimResults> r = tryRun(src, warm_insts, measure_insts);
-    fatal_if(!r.ok(), r.status().toString());
-    return r.take();
+    StatusOr<CmpResults> r = runMeasure({&src}, measure_insts);
+    if (!r.ok())
+        return r.status();
+    return SimResults(r.value());
 }
 
 void
 Simulator::sampleCounterTracks()
 {
-    const Tick now = core_->now();
+    const Tick t = now();
     traceLog_->counterSample(
-        "mshr_occupancy", now,
+        "mshr_occupancy", t,
         static_cast<double>(l2side_->mshrs().occupancy()));
     traceLog_->counterSample(
-        "pf_buffer_occupancy", now,
+        "pf_buffer_occupancy", t,
         static_cast<double>(l2side_->prefetchBuffer().validCount()));
     traceLog_->counterSample(
-        "channel_backlog_ticks", now,
-        static_cast<double>(mem_.readChannel().backlogTicks(now)));
+        "channel_backlog_ticks", t,
+        static_cast<double>(mem_.readChannel().backlogTicks(t)));
     if (auto *e = dynamic_cast<EpochBasedPrefetcher *>(prefetcher_.get()))
         traceLog_->counterSample(
-            "corr_table_fill", now,
+            "corr_table_fill", t,
             static_cast<double>(e->table().populatedEntries()));
     const PrefetchLedger &ledger = l2side_->ledger();
     for (unsigned s = 0; s < PrefetchLedger::kMaxSources; ++s) {
@@ -213,19 +316,28 @@ Simulator::sampleCounterTracks()
         if (sc.issued == 0)
             continue;
         traceLog_->counterSample(
-            "pf_accuracy_src" + std::to_string(s), now,
+            "pf_accuracy_src" + std::to_string(s), t,
             static_cast<double>(sc.used()) /
                 static_cast<double>(sc.issued));
     }
 }
 
-SimResults
+CmpResults
 Simulator::collect()
 {
-    SimResults r;
-    r.insts = core_->measuredInsts();
-    r.cycles = core_->measuredCycles();
-    r.cpi = core_->cpi();
+    CmpResults r;
+    double cycle_sum = 0.0;
+    for (const auto &c : cores_) {
+        SimResults core;
+        core.insts = c->measuredInsts();
+        core.cycles = c->measuredCycles();
+        core.cpi = c->cpi();
+        r.perCore.push_back(core);
+        r.insts += core.insts;
+        r.cycles = std::max(r.cycles, core.cycles);
+        cycle_sum += static_cast<double>(core.cycles);
+    }
+    r.cpi = r.insts ? cycle_sum / static_cast<double>(r.insts) : 0.0;
 
     r.epochs = l2side_->epochTracker().epochs();
     const double per1k =
@@ -272,46 +384,76 @@ Simulator::collect()
 std::uint64_t
 Simulator::configFingerprint() const
 {
-    return ebcp::configFingerprint(cfg_, pf_, 1);
+    return ebcp::configFingerprint(cfg_, pf_, cores());
+}
+
+Status
+Simulator::ckptSections(
+    const std::vector<TraceSource *> &sources,
+    const std::function<Status(const std::string &, const SectionFill &)>
+        &visit)
+{
+    fatal_if(sources.size() != cores_.size(),
+             "the simulator needs one trace source per core, got ",
+             sources.size(), " for ", cores_.size());
+    Status s;
+    auto each = [&](const std::string &name, const SectionFill &fill) {
+        if (s.ok())
+            s = visit(name, fill);
+    };
+    for (unsigned i = 0; i < cores(); ++i) {
+        each(partName("core", i, cores()),
+             [this, i](ckpt::Archiver &ar) { cores_[i]->ckpt(ar); });
+        each(partName("l1", i, cores()),
+             [this, i](ckpt::Archiver &ar) { ports_[i]->ckpt(ar); });
+    }
+    each("l2side", [this](ckpt::Archiver &ar) { l2side_->ckpt(ar); });
+    each("mem", [this](ckpt::Archiver &ar) { mem_.ckpt(ar); });
+    each("prefetcher",
+         [this](ckpt::Archiver &ar) { prefetcher_->ckpt(ar); });
+    for (unsigned i = 0; i < cores(); ++i)
+        each(partName("trace", i, cores()),
+             [&sources, i](ckpt::Archiver &ar) { sources[i]->ckpt(ar); });
+    // One core keeps the bus marks of its measurement window; several
+    // cores keep the interleaving RNG instead, and their measurement
+    // window always starts after a restore, resetting the marks.
+    if (cores() == 1)
+        each("simulator", [this](ckpt::Archiver &ar) {
+            ar.u64(readBusyMark_);
+            ar.u64(writeBusyMark_);
+        });
+    else
+        each("cmp", [this](ckpt::Archiver &ar) { ckpt::ckptPcg32(ar, rng_); });
+    return s;
 }
 
 StatusOr<std::string>
-Simulator::serializeCheckpoint(TraceSource &src)
+Simulator::serializeCheckpoint(const std::vector<TraceSource *> &sources)
 {
     EBCP_PROFILE_SCOPE(Ckpt);
     ckpt::CheckpointWriter w(configFingerprint());
-    Status s;
-    auto add = [&](const char *name, auto &&fill) {
-        if (s.ok())
-            s = w.section(name, fill);
-    };
-    add("core", [this](ckpt::Archiver &ar) { core_->ckpt(ar); });
-    add("l1", [this](ckpt::Archiver &ar) { hier_->ckpt(ar); });
-    add("l2side", [this](ckpt::Archiver &ar) { l2side_->ckpt(ar); });
-    add("mem", [this](ckpt::Archiver &ar) { mem_.ckpt(ar); });
-    add("prefetcher",
-        [this](ckpt::Archiver &ar) { prefetcher_->ckpt(ar); });
-    add("trace", [&src](ckpt::Archiver &ar) { src.ckpt(ar); });
-    add("simulator", [this](ckpt::Archiver &ar) {
-        ar.u64(readBusyMark_);
-        ar.u64(writeBusyMark_);
-    });
+    Status s = ckptSections(
+        sources, [&w](const std::string &name, const SectionFill &fill) {
+            return w.section(name, fill);
+        });
     if (!s.ok())
         return s;
     return w.serialize();
 }
 
 Status
-Simulator::saveCheckpoint(const std::string &path, TraceSource &src)
+Simulator::saveCheckpoint(const std::string &path,
+                          const std::vector<TraceSource *> &sources)
 {
-    StatusOr<std::string> blob = serializeCheckpoint(src);
+    StatusOr<std::string> blob = serializeCheckpoint(sources);
     if (!blob.ok())
         return blob.status();
     return ckpt::atomicWriteFile(path, blob.value());
 }
 
 Status
-Simulator::restoreCheckpoint(const std::string &buffer, TraceSource &src)
+Simulator::restoreCheckpoint(const std::string &buffer,
+                             const std::vector<TraceSource *> &sources)
 {
     EBCP_PROFILE_SCOPE(Ckpt);
     StatusOr<ckpt::CheckpointReader> reader =
@@ -319,32 +461,20 @@ Simulator::restoreCheckpoint(const std::string &buffer, TraceSource &src)
     if (!reader.ok())
         return reader.status();
     const ckpt::CheckpointReader &r = reader.value();
-    Status s;
-    auto load = [&](const char *name, auto &&fn) {
-        if (s.ok())
-            s = r.section(name, fn);
-    };
-    load("core", [this](ckpt::Archiver &ar) { core_->ckpt(ar); });
-    load("l1", [this](ckpt::Archiver &ar) { hier_->ckpt(ar); });
-    load("l2side", [this](ckpt::Archiver &ar) { l2side_->ckpt(ar); });
-    load("mem", [this](ckpt::Archiver &ar) { mem_.ckpt(ar); });
-    load("prefetcher",
-         [this](ckpt::Archiver &ar) { prefetcher_->ckpt(ar); });
-    load("trace", [&src](ckpt::Archiver &ar) { src.ckpt(ar); });
-    load("simulator", [this](ckpt::Archiver &ar) {
-        ar.u64(readBusyMark_);
-        ar.u64(writeBusyMark_);
-    });
-    return s;
+    return ckptSections(
+        sources, [&r](const std::string &name, const SectionFill &load) {
+            return r.section(name, load);
+        });
 }
 
 Status
-Simulator::restoreCheckpointFile(const std::string &path, TraceSource &src)
+Simulator::restoreCheckpointFile(const std::string &path,
+                                 const std::vector<TraceSource *> &sources)
 {
     StatusOr<std::string> data = ckpt::readFile(path);
     if (!data.ok())
         return data.status();
-    return restoreCheckpoint(data.value(), src)
+    return restoreCheckpoint(data.value(), sources)
         .withContext(logFormat("restoring checkpoint '", path, "'"));
 }
 
@@ -352,8 +482,10 @@ void
 Simulator::dumpStats(std::ostream &os)
 {
     EBCP_PROFILE_SCOPE(Stats);
-    core_->stats().dump(os);
-    hier_->stats().dump(os);
+    for (auto &c : cores_)
+        c->stats().dump(os);
+    for (auto &p : ports_)
+        p->stats().dump(os);
     l2side_->stats().dump(os);
     mem_.stats().dump(os);
 }
@@ -363,11 +495,16 @@ Simulator::dumpStatsJson(JsonWriter &w)
 {
     EBCP_PROFILE_SCOPE(Stats);
     w.beginObject();
-    for (StatGroup *g : {&core_->stats(), &hier_->stats(),
-                         &l2side_->stats(), &mem_.stats()}) {
-        w.key(g->name());
-        g->dumpJson(w);
-    }
+    auto group = [&w](StatGroup &g) {
+        w.key(g.name());
+        g.dumpJson(w);
+    };
+    for (auto &c : cores_)
+        group(c->stats());
+    for (auto &p : ports_)
+        group(p->stats());
+    group(l2side_->stats());
+    group(mem_.stats());
     w.endObject();
 }
 
@@ -377,6 +514,21 @@ runOnce(const SimConfig &cfg, const PrefetcherParams &pf, TraceSource &src,
 {
     Simulator sim(cfg, pf);
     return sim.run(src, warm_insts, measure_insts);
+}
+
+CmpResults
+runCmp(const SimConfig &cfg, const PrefetcherParams &pf,
+       const std::string &workload, unsigned cores, std::uint64_t warm,
+       std::uint64_t measure)
+{
+    Simulator sim(cfg, pf, cores);
+    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+    std::vector<TraceSource *> sources;
+    for (unsigned i = 0; i < cores; ++i) {
+        owned.push_back(makeWorkload(workload, 1000 + i));
+        sources.push_back(owned.back().get());
+    }
+    return sim.run(sources, warm, measure);
 }
 
 } // namespace ebcp

@@ -81,6 +81,8 @@ class StatGroup
     void dumpJson(JsonWriter &w) const;
 
     const std::string &name() const { return name_; }
+    /** Rename the group (e.g. to tell apart identical components). */
+    void setName(std::string name) { name_ = std::move(name); }
     const std::vector<StatBase *> &stats() const { return stats_; }
     const std::vector<StatGroup *> &children() const { return children_; }
 

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 
 #include "ckpt/archiver.hh"
 #include "ckpt/checkpoint.hh"
+#include "ckpt/containers.hh"
 #include "fuzz/sim_fixture.hh"
 #include "harness/journal.hh"
 #include "harness/sweep.hh"
@@ -425,6 +427,114 @@ TEST(CkptRoundtrip, RestoredRunIsBitIdenticalToUninterrupted)
         ASSERT_TRUE(r.ok()) << r.status().toString();
         expectBitIdentical(r.value(), warm.coldResults, pf_name);
     }
+}
+
+/** One database instance per core, seeded as runCmp() seeds them. */
+struct CoreSources
+{
+    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+    std::vector<TraceSource *> ptrs;
+
+    explicit CoreSources(unsigned cores)
+    {
+        for (unsigned i = 0; i < cores; ++i) {
+            owned.push_back(makeWorkload("database", 1000 + i));
+            ptrs.push_back(owned.back().get());
+        }
+    }
+};
+
+PrefetcherParams
+twoCoreEbcp()
+{
+    PrefetcherParams pf;
+    pf.name = "ebcp";
+    pf.ebcp.numCoreStates = 2;
+    return pf;
+}
+
+TEST(CkptRoundtrip, CmpRestoredRunIsBitIdenticalToUninterrupted)
+{
+    SimConfig cfg;
+    Simulator warm(cfg, twoCoreEbcp(), 2);
+    CoreSources ws(2);
+    ASSERT_TRUE(warm.runWarm(ws.ptrs, kWarm).ok());
+    StatusOr<std::string> blob = warm.serializeCheckpoint(ws.ptrs);
+    ASSERT_TRUE(blob.ok()) << blob.status().toString();
+    StatusOr<CmpResults> cold = warm.runMeasure(ws.ptrs, kMeasure);
+    ASSERT_TRUE(cold.ok()) << cold.status().toString();
+
+    Simulator sim(cfg, twoCoreEbcp(), 2);
+    CoreSources rs(2);
+    ASSERT_TRUE(sim.restoreCheckpoint(blob.value(), rs.ptrs).ok());
+    StatusOr<CmpResults> r = sim.runMeasure(rs.ptrs, kMeasure);
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    expectBitIdentical(r.value(), cold.value(), "2-core restore");
+    for (unsigned i = 0; i < 2; ++i)
+        EXPECT_EQ(r.value().perCore[i].cycles,
+                  cold.value().perCore[i].cycles);
+}
+
+TEST(CkptRoundtrip, CmpImageInEarlierSectionOrderRestores)
+{
+    // Multi-core images used to be written core0, l1.0, trace0, ...,
+    // l2side, mem, prefetcher, cmp. The reader looks sections up by
+    // name, so an image in that order must restore exactly. Build
+    // one from the public component serializers.
+    SimConfig cfg;
+    Simulator warm(cfg, twoCoreEbcp(), 2);
+    CoreSources ws(2);
+    ASSERT_TRUE(warm.runWarm(ws.ptrs, kWarm).ok());
+    StatusOr<std::string> current = warm.serializeCheckpoint(ws.ptrs);
+    ASSERT_TRUE(current.ok()) << current.status().toString();
+
+    // The interleaving RNG is private; carry it over from the image
+    // the simulator writes today.
+    StatusOr<ckpt::CheckpointReader> reader =
+        ckpt::CheckpointReader::fromBuffer(current.value(),
+                                           warm.configFingerprint());
+    ASSERT_TRUE(reader.ok()) << reader.status().toString();
+    Pcg32 rng(0);
+    ASSERT_TRUE(reader.value()
+                    .section("cmp", [&](ckpt::Archiver &ar) {
+                        ckpt::ckptPcg32(ar, rng);
+                    })
+                    .ok());
+
+    ckpt::CheckpointWriter w(warm.configFingerprint());
+    auto add = [&](const std::string &name,
+                   const std::function<void(ckpt::Archiver &)> &fill) {
+        ASSERT_TRUE(w.section(name, fill).ok()) << name;
+    };
+    for (unsigned i = 0; i < 2; ++i) {
+        add("core" + std::to_string(i),
+            [&](ckpt::Archiver &ar) { warm.core(i).ckpt(ar); });
+        add("l1." + std::to_string(i),
+            [&](ckpt::Archiver &ar) { warm.hierarchy(i).ckpt(ar); });
+        add("trace" + std::to_string(i),
+            [&](ckpt::Archiver &ar) { ws.ptrs[i]->ckpt(ar); });
+    }
+    add("l2side", [&](ckpt::Archiver &ar) { warm.l2side().ckpt(ar); });
+    add("mem", [&](ckpt::Archiver &ar) { warm.memory().ckpt(ar); });
+    add("prefetcher",
+        [&](ckpt::Archiver &ar) { warm.prefetcher().ckpt(ar); });
+    add("cmp", [&](ckpt::Archiver &ar) { ckpt::ckptPcg32(ar, rng); });
+    StatusOr<std::string> earlier = w.serialize();
+    ASSERT_TRUE(earlier.ok()) << earlier.status().toString();
+    // Same sections, another order: the images differ as bytes.
+    ASSERT_EQ(earlier.value().size(), current.value().size());
+    EXPECT_FALSE(earlier.value() == current.value());
+
+    StatusOr<CmpResults> cold = warm.runMeasure(ws.ptrs, kMeasure);
+    ASSERT_TRUE(cold.ok()) << cold.status().toString();
+
+    Simulator sim(cfg, twoCoreEbcp(), 2);
+    CoreSources rs(2);
+    Status s = sim.restoreCheckpoint(earlier.value(), rs.ptrs);
+    ASSERT_TRUE(s.ok()) << s.toString();
+    StatusOr<CmpResults> r = sim.runMeasure(rs.ptrs, kMeasure);
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    expectBitIdentical(r.value(), cold.value(), "earlier section order");
 }
 
 TEST(CkptRoundtrip, FileRoundTripThroughAtomicWrite)

@@ -19,7 +19,7 @@ TEST(CmpTest, SingleCoreMatchesStructure)
     CmpResults r = runCmp(cfg, p, "database", 1, 100000, 200000);
     ASSERT_EQ(r.perCore.size(), 1u);
     EXPECT_EQ(r.perCore[0].insts, 200000u);
-    EXPECT_NEAR(r.aggregateCpi, r.perCore[0].cpi, 1e-9);
+    EXPECT_NEAR(r.cpi, r.perCore[0].cpi, 1e-9);
 }
 
 TEST(CmpTest, AllCoresRunTheirInstructions)
@@ -41,7 +41,7 @@ TEST(CmpTest, SharedL2ContentionRaisesCpi)
     CmpResults one = runCmp(cfg, p, "database", 1, 100000, 200000);
     CmpResults four = runCmp(cfg, p, "database", 4, 100000, 200000);
     // Four independent working sets thrash the shared 2MB L2.
-    EXPECT_GT(four.aggregateCpi, one.aggregateCpi);
+    EXPECT_GT(four.cpi, one.cpi);
 }
 
 TEST(CmpTest, Deterministic)
@@ -88,7 +88,7 @@ TEST(CmpTest, PerCoreEbcpStateLearnsUnderInterleaving)
     // Per-core state must beat a single shared epoch stream, and both
     // must beat no prefetching.
     EXPECT_GT(pc.coverage, sh.coverage);
-    EXPECT_LT(pc.aggregateCpi, base.aggregateCpi);
+    EXPECT_LT(pc.cpi, base.cpi);
 }
 
 TEST(CmpTest, CoreIdsReachThePrefetcher)
@@ -132,4 +132,70 @@ TEST(CmpTest, CoverageAccuracySane)
     EXPECT_LE(r.coverage, 1.0);
     EXPECT_GE(r.accuracy, 0.0);
     EXPECT_LE(r.accuracy, 1.0);
+}
+
+TEST(CmpTest, ResultsCarryEveryField)
+{
+    // The whole-system results of a CMP run fill every SimResults
+    // field with the single-core formulas, and the measurement window
+    // restarts every core's L1 statistics.
+    constexpr unsigned kCores = 4;
+    SimConfig cfg;
+    PrefetcherParams p;
+    p.name = "ebcp";
+    p.ebcp.numCoreStates = kCores;
+    CmpSystem sys(cfg, p, kCores);
+    std::vector<std::unique_ptr<SyntheticWorkload>> owned;
+    std::vector<TraceSource *> srcs;
+    for (unsigned i = 0; i < kCores; ++i) {
+        owned.push_back(makeWorkload("database", 1000 + i));
+        srcs.push_back(owned.back().get());
+    }
+    ASSERT_TRUE(sys.runWarm(srcs, 200000).ok());
+
+    auto l1dHits = [&](unsigned i) {
+        const Scalar *s = sys.hierarchy(i).l1d().stats().findScalar("hits");
+        return s ? s->value() : ~std::uint64_t(0);
+    };
+    for (unsigned i = 0; i < kCores; ++i)
+        EXPECT_GT(l1dHits(i), 0u) << "core " << i;
+    ASSERT_TRUE(sys.runMeasure(srcs, 0).ok());
+    for (unsigned i = 0; i < kCores; ++i)
+        EXPECT_EQ(l1dHits(i), 0u) << "core " << i;
+
+    const Tick read0 = sys.memory().readChannel().busyTicks();
+    const Tick write0 = sys.memory().writeChannel().busyTicks();
+    StatusOr<CmpResults> res = sys.runMeasure(srcs, 400000);
+    ASSERT_TRUE(res.ok()) << res.status().toString();
+    const SimResults r = foldCmpResults(res.value());
+
+    L2Subsystem &l2 = sys.l2side();
+    EXPECT_GT(r.issuedPrefetches, 0u);
+    EXPECT_GT(r.usefulPrefetches, 0u);
+    EXPECT_EQ(r.issuedPrefetches, l2.issuedPrefetches());
+    EXPECT_EQ(r.usefulPrefetches, l2.usefulPrefetches());
+    EXPECT_EQ(r.droppedPrefetches, l2.droppedPrefetches());
+
+    ASSERT_EQ(r.insts, kCores * 400000u);
+    const double per1k = 1000.0 / static_cast<double>(r.insts);
+    EXPECT_GT(r.l2InstMissPer1k, 0.0);
+    EXPECT_GT(r.l2LoadMissPer1k, 0.0);
+    EXPECT_EQ(r.l2InstMissPer1k, l2.offChipInst() * per1k);
+    EXPECT_EQ(r.l2LoadMissPer1k, l2.offChipLoad() * per1k);
+
+    // Bus utilisation is busy time over the slowest core's cycles.
+    std::uint64_t cycles = 0;
+    for (const SimResults &c : res.value().perCore)
+        cycles = std::max(cycles, c.cycles);
+    ASSERT_EQ(r.cycles, cycles);
+    EXPECT_GT(r.readBusUtil, 0.0);
+    EXPECT_GT(r.writeBusUtil, 0.0);
+    EXPECT_EQ(r.readBusUtil,
+              static_cast<double>(sys.memory().readChannel().busyTicks() -
+                                  read0) /
+                  static_cast<double>(cycles));
+    EXPECT_EQ(r.writeBusUtil,
+              static_cast<double>(
+                  sys.memory().writeChannel().busyTicks() - write0) /
+                  static_cast<double>(cycles));
 }

@@ -301,6 +301,60 @@ TEST(SweepDeterminism, WarmForkBitIdenticalToCold)
     EXPECT_EQ(st.coldFallbacks, 0u);
 }
 
+TEST(SweepDeterminism, CmpWarmForkBitIdenticalToCold)
+{
+    // Multi-core descriptors fork from warm checkpoints too: two
+    // measurement windows per 2-core warm point, bit-identical to
+    // fully cold runs.
+    std::vector<RunDesc> descs;
+    for (const char *pf : {"null", "ebcp"}) {
+        RunDesc d = makeDesc("database", pf);
+        d.cores = 2;
+        d.pf.ebcp.numCoreStates = 2;
+        descs.push_back(d);
+        d.scale.measure = 2 * kMeasure;
+        descs.push_back(d);
+    }
+
+    SweepRunner cold(parallelJobs());
+    const std::vector<RunResult> a = cold.run(descs);
+
+    SweepOptions opts;
+    opts.warmReuse = true;
+    SweepRunner warm(parallelJobs(), opts);
+    const std::vector<RunResult> b = warm.run(descs);
+
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+        ASSERT_TRUE(a[i].ok()) << a[i].status.toString();
+        ASSERT_TRUE(b[i].ok()) << b[i].status.toString();
+        EXPECT_TRUE(b[i].warmForked) << i;
+        EXPECT_FALSE(b[i].coldFallback) << i;
+        expectBitIdentical(a[i].results, b[i].results,
+                           runLabel(descs[i]));
+    }
+    EXPECT_EQ(warm.stats().warmBuilds, 2u);
+    EXPECT_EQ(warm.stats().warmForks, descs.size());
+    EXPECT_EQ(warm.stats().coldFallbacks, 0u);
+}
+
+TEST(SweepRunnerTest, CmpDescriptorAppliesItsFaultPlan)
+{
+    // A multi-core descriptor's trace fault plan reaches every core's
+    // source, so it changes the results.
+    RunDesc clean = makeDesc("database", "ebcp");
+    clean.cores = 2;
+    RunDesc faulted = clean;
+    faulted.cfg.faults.traceBitflip = true;
+    faulted.cfg.faults.rate = 1e-2;
+
+    const RunResult a = executeRun(clean);
+    const RunResult b = executeRun(faulted);
+    ASSERT_TRUE(a.ok()) << a.status.toString();
+    ASSERT_TRUE(b.ok()) << b.status.toString();
+    EXPECT_EQ(a.results.insts, b.results.insts);
+    EXPECT_NE(a.results.cycles, b.results.cycles);
+}
+
 TEST(SweepRunnerTest, WarmImageLivesUntilItsLastForkFinishes)
 {
     // Each warm image is freed once the last descriptor forking from
