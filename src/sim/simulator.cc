@@ -414,9 +414,10 @@ Simulator::ckptSections(
     for (unsigned i = 0; i < cores(); ++i)
         each(partName("trace", i, cores()),
              [&sources, i](ckpt::Archiver &ar) { sources[i]->ckpt(ar); });
-    // One core keeps the bus marks of its measurement window; several
-    // cores keep the interleaving RNG instead, and their measurement
-    // window always starts after a restore, resetting the marks.
+    // Images keep the sections they have always had: one core adds
+    // the bus marks of its measurement window, several cores the
+    // interleaving RNG. The marks only matter to an image taken inside
+    // a measurement window; runMeasure() resets them.
     if (cores() == 1)
         each("simulator", [this](ckpt::Archiver &ar) {
             ar.u64(readBusyMark_);

@@ -199,3 +199,42 @@ TEST(CmpTest, ResultsCarryEveryField)
                   sys.memory().writeChannel().busyTicks() - write0) /
                   static_cast<double>(cycles));
 }
+
+TEST(CmpTest, IntervalSamplerKeepsTheScheduleBitExact)
+{
+    // With several cores the sampler fires between rounds, so a
+    // sampled run interleaves exactly as an unsampled one.
+    auto runWith = [](bool sample, std::vector<std::uint64_t> *boundaries) {
+        SimConfig cfg;
+        PrefetcherParams p;
+        p.name = "ebcp";
+        p.ebcp.numCoreStates = 2;
+        CmpSystem sys(cfg, p, 2);
+        IntervalSampler sampler(sys.l2side().stats(), 30000);
+        if (sample)
+            sys.setSampler(&sampler);
+        auto s0 = makeWorkload("database", 1000);
+        auto s1 = makeWorkload("database", 1001);
+        std::vector<TraceSource *> srcs{s0.get(), s1.get()};
+        CmpResults r = sys.run(srcs, 50000, 100000);
+        for (const auto &snap : sampler.snapshots())
+            boundaries->push_back(snap.insts);
+        return r;
+    };
+    std::vector<std::uint64_t> none, sampled;
+    const CmpResults a = runWith(false, &none);
+    const CmpResults b = runWith(true, &sampled);
+    for (unsigned i = 0; i < 2; ++i)
+        EXPECT_EQ(a.perCore[i].cycles, b.perCore[i].cycles);
+    EXPECT_EQ(a.cpi, b.cpi);
+    EXPECT_EQ(a.epochs, b.epochs);
+    EXPECT_TRUE(none.empty());
+
+    // Boundaries 30k, 60k and 90k per core, then the window's end.
+    ASSERT_EQ(sampled.size(), 4u);
+    for (std::size_t k = 0; k + 1 < sampled.size(); ++k) {
+        EXPECT_GE(sampled[k], 2 * 30000 * (k + 1));
+        EXPECT_LT(sampled[k], sampled[k + 1]);
+    }
+    EXPECT_EQ(sampled.back(), 2 * 100000u);
+}
