@@ -31,9 +31,10 @@
  *                          baseline exceeds the fraction F; 0
  *                          disables),
  *       max_profiler_overhead=F (pair profiler-off/profiler-on runs
- *                          the same way and fail if the self-profiler
- *                          costs more than the fraction F; 0
- *                          disables),
+ *                          the same way, over the grid plus one
+ *                          4-core database/null point, and fail if
+ *                          the self-profiler costs more than the
+ *                          fraction F; 0 disables),
  *       json=PATH         (machine-readable report; default
  *                          BENCH_throughput.json, json= to disable),
  *       stats_json=PATH   (per-run SimResults in the shared
@@ -51,6 +52,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,33 +93,43 @@ struct RunReport
     std::uint64_t usefulPrefetches = 0;
 };
 
+/** One run of @p workload; @p cores > 1 runs the CMP driver with
+ * one instance per core (seeds 1000 + i, as runCmp does). */
 RunReport
 measureRun(const std::string &workload, const std::string &pf_name,
-           const RunScale &scale, bool arm_deadline = false)
+           const RunScale &scale, bool arm_deadline = false,
+           unsigned cores = 1)
 {
     RunReport rep;
     rep.workload = workload;
     rep.pf = pf_name;
-    rep.insts = scale.warm + scale.measure;
+    rep.insts = cores * (scale.warm + scale.measure);
 
     SimConfig cfg;
     PrefetcherParams pf;
     pf.name = pf_name;
-    Simulator sim(cfg, pf);
-    auto src = makeWorkload(workload);
+    Simulator sim(cfg, pf, cores);
+    std::vector<std::unique_ptr<SyntheticWorkload>> srcs;
+    std::vector<TraceSource *> ptrs;
+    for (unsigned i = 0; i < cores; ++i) {
+        srcs.push_back(cores == 1 ? makeWorkload(workload)
+                                  : makeWorkload(workload, 1000 + i));
+        ptrs.push_back(srcs.back().get());
+    }
 
     // The armed-but-never-tripped wall deadline is the only
     // checkpoint machinery that touches the simulation hot loop; a
     // run with it armed measures the subsystem's steady-state cost
     // when no checkpoint is ever taken.
     if (arm_deadline)
-        sim.core().setWallDeadline(std::chrono::steady_clock::now() +
-                                   std::chrono::hours(1));
+        for (unsigned i = 0; i < cores; ++i)
+            sim.core(i).setWallDeadline(std::chrono::steady_clock::now() +
+                                        std::chrono::hours(1));
 
     PerfCounters counters;
     counters.start();
     const auto t0 = std::chrono::steady_clock::now();
-    rep.results = sim.run(*src, scale.warm, scale.measure);
+    rep.results = sim.run(ptrs, scale.warm, scale.measure);
     const auto t1 = std::chrono::steady_clock::now();
     counters.stop();
 
@@ -128,7 +140,7 @@ measureRun(const std::string &workload, const std::string &pf_name,
     rep.host = counters.sample();
 
     rep.mshr = sim.l2side().mshrs().mapStats();
-    rep.ring = src->ringStats();
+    rep.ring = srcs.front()->ringStats();
     if (auto *e = dynamic_cast<EpochBasedPrefetcher *>(&sim.prefetcher())) {
         rep.corr = e->table().mapStats();
         rep.hasCorr = true;
@@ -271,6 +283,29 @@ main(int argc, char **argv)
         const std::size_t n = v.size();
         return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
     };
+    // Same paired back-to-back discipline as the checkpoint gate,
+    // with the profiler runtime switch as the armed/base axis: one
+    // off/on pair, its ratio appended to @p ratios and the off run's
+    // CPU time folded into the minimum @p base_best.
+    const auto profilerPair = [&scale](const std::string &w,
+                                       const std::string &pf,
+                                       unsigned cores,
+                                       std::vector<double> &ratios,
+                                       double &base_best) {
+        prof::setEnabled(false);
+        prof::resetThisThread();
+        const RunReport off = measureRun(w, pf, scale, false, cores);
+        prof::setEnabled(true);
+        prof::resetThisThread();
+        const RunReport on = measureRun(w, pf, scale, false, cores);
+        const double cpu_off =
+            off.host.cpuSeconds > 0.0 ? off.host.cpuSeconds : off.seconds;
+        const double cpu_on =
+            on.host.cpuSeconds > 0.0 ? on.host.cpuSeconds : on.seconds;
+        if (ratios.empty() || cpu_off < base_best)
+            base_best = cpu_off;
+        ratios.push_back(cpu_off > 0.0 ? cpu_on / cpu_off : 1.0);
+    };
     for (const auto &w : workloadNames())
         for (const auto &pf : pfs) {
             RunReport best;
@@ -295,28 +330,8 @@ main(int argc, char **argv)
                     ratios.push_back(base_cpu > 0.0 ? cpu / base_cpu
                                                     : 1.0);
                 }
-                if (max_profiler_overhead > 0.0) {
-                    // Same paired back-to-back discipline as the
-                    // checkpoint gate, with the profiler runtime
-                    // switch as the armed/base axis.
-                    prof::setEnabled(false);
-                    prof::resetThisThread();
-                    const RunReport off = measureRun(w, pf, scale);
-                    prof::setEnabled(true);
-                    prof::resetThisThread();
-                    const RunReport on = measureRun(w, pf, scale);
-                    const double cpu_off = off.host.cpuSeconds > 0.0
-                                               ? off.host.cpuSeconds
-                                               : off.seconds;
-                    const double cpu_on = on.host.cpuSeconds > 0.0
-                                              ? on.host.cpuSeconds
-                                              : on.seconds;
-                    if (prof_ratios.empty() ||
-                        cpu_off < prof_base_best)
-                        prof_base_best = cpu_off;
-                    prof_ratios.push_back(
-                        cpu_off > 0.0 ? cpu_on / cpu_off : 1.0);
-                }
+                if (max_profiler_overhead > 0.0)
+                    profilerPair(w, pf, 1, prof_ratios, prof_base_best);
             }
             armed_sum += base_cpu_best * median(ratios);
             base_cpu_sum += base_cpu_best;
@@ -332,6 +347,20 @@ main(int argc, char **argv)
                       << ")\n";
             reports.push_back(std::move(best));
         }
+
+    // The grid runs one core, which the driver runs in one call per
+    // phase. A 4-core phase is thousands of ~100-instruction quanta,
+    // so a profiler cost paid per call into a core only shows here.
+    double prof_cmp_overhead = 0.0;
+    if (max_profiler_overhead > 0.0) {
+        std::vector<double> ratios;
+        double base_best = 0.0;
+        for (std::uint64_t rep = 0; rep < reps; ++rep)
+            profilerPair("database", "null", 4, ratios, base_best);
+        prof_cmp_overhead = median(ratios) - 1.0;
+        prof_armed_sum += base_best * median(ratios);
+        prof_base_sum += base_best;
+    }
 
     AsciiTable t("Throughput and hot-structure statistics");
     t.setHeader({"run", "Minsts/s", "host IPC", "mshr p/f",
@@ -398,7 +427,9 @@ main(int argc, char **argv)
         std::cout << "self-profiler overhead (enabled vs disabled): "
                   << fmtDouble(prof_overhead * 100.0, 2) << "% ("
                   << fmtDouble(prof_base_sum, 3) << "s -> "
-                  << fmtDouble(prof_armed_sum, 3) << "s)\n";
+                  << fmtDouble(prof_armed_sum, 3) << "s; 4-core "
+                  << "database/null point alone "
+                  << fmtDouble(prof_cmp_overhead * 100.0, 2) << "%)\n";
     }
 
     if (!json_path.empty()) {
@@ -414,6 +445,9 @@ main(int argc, char **argv)
            << fmtDouble(max_ckpt_overhead, 4)
            << ",\n  \"profiler_overhead\": "
            << (measured_prof_overhead ? fmtDouble(prof_overhead, 4)
+                                      : std::string("null"))
+           << ",\n  \"profiler_overhead_cmp4\": "
+           << (measured_prof_overhead ? fmtDouble(prof_cmp_overhead, 4)
                                       : std::string("null"))
            << ",\n  \"max_profiler_overhead\": "
            << fmtDouble(max_profiler_overhead, 4)

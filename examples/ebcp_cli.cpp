@@ -112,7 +112,8 @@ printHelp()
         "                      trace-bitflip|trace-truncate|\n"
         "                      trace-shortread|table-drop|table-delay|\n"
         "                      demand-stall\n"
-        "  fault_seed=N        fault-injection seed (default 1)\n"
+        "  fault_seed=N        fault-injection seed (default 1; core i\n"
+        "                      of a CMP run injects trace faults with N+i)\n"
         "  fault_rate=F        per-opportunity fault probability\n"
         "                      (default 1e-3)\n"
         "  stall_after=N       demand accesses before demand-stall\n"
@@ -515,12 +516,12 @@ main(int argc, char **argv)
             owned.push_back(w.take());
         }
     }
-    for (auto &src : owned) {
-        sources.push_back(src.get());
+    for (unsigned i = 0; i < owned.size(); ++i) {
+        sources.push_back(owned[i].get());
         if (cfg.faults.traceBitflip || cfg.faults.traceTruncate ||
             cfg.faults.traceShortRead) {
             injectors.push_back(std::make_unique<FaultInjectingTraceSource>(
-                *src, cfg.faults));
+                *owned[i], cfg.faults.forCore(i)));
             sources.back() = injectors.back().get();
         }
     }

@@ -275,7 +275,7 @@ buildSources(const RunDesc &d)
             faults.traceShortRead) {
             out.injectors.push_back(
                 std::make_unique<FaultInjectingTraceSource>(
-                    *out.sources.back(), faults));
+                    *out.sources.back(), faults.forCore(i)));
             out.sources.back() = out.injectors.back().get();
         }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <ostream>
 #include <sstream>
 
@@ -71,11 +72,12 @@ Simulator::now() const
 }
 
 Status
-Simulator::stallStatus(unsigned i)
+Simulator::stallStatus(unsigned i, double wall_seconds)
 {
     const std::string label = cores() > 1 ? partName("core", i, cores()) : "";
     WatchdogContext ctx;
     ctx.tracePolicy = tracePolicyName_;
+    ctx.wallSeconds = wall_seconds;
     std::ostringstream json;
     JsonWriter w(json);
     progressDiagnosticJson(w, label, *cores_[i], *l2side_, mem_,
@@ -161,6 +163,11 @@ Simulator::runPhase(const std::vector<TraceSource *> &sources,
              sources.size(), " for ", cores_.size());
     for (auto &c : cores_)
         c->setWatchdog(cfg_.watchdogTicks);
+    // One profiler scope and one clock read per phase, never per
+    // run() call: at N > 1 a phase is thousands of short quanta, and
+    // the scope's thread-CPU clock read is a syscall.
+    EBCP_PROFILE_SCOPE(CoreLoop);
+    const auto phase_start = std::chrono::steady_clock::now();
 
     // One core runs the whole window in one run() call, or in chunks
     // that end on the sampler's boundaries. Several cores take turns
@@ -190,7 +197,10 @@ Simulator::runPhase(const std::vector<TraceSource *> &sources,
             const std::uint64_t before = core.instCount();
             core.run(*sources[i], chunk);
             if (core.watchdogTripped())
-                return stallStatus(i);
+                return stallStatus(
+                    i, std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - phase_start)
+                           .count());
             // A source that ran dry ends its core's window.
             done[i] = core.instCount() - before < chunk ? insts_per_core
                                                         : done[i] + chunk;

@@ -271,8 +271,8 @@ class Simulator
     Tick now() const;
 
     /** Build the Stalled status + JSON diagnostic for a trip on
-     * core @p i. */
-    Status stallStatus(unsigned i);
+     * core @p i, @p wall_seconds into the phase. */
+    Status stallStatus(unsigned i, double wall_seconds);
 
     /** Record one sample of every counter track into traceLog_. */
     void sampleCounterTracks();

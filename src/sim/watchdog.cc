@@ -22,14 +22,14 @@ struct Snapshot
 };
 
 Snapshot
-gather(CoreModel &core)
+gather(CoreModel &core, const WatchdogContext &ctx)
 {
     Snapshot s{};
     s.trippedAt = core.now();
     s.gap = core.watchdogGap();
     s.healthy = s.trippedAt > s.gap ? s.trippedAt - s.gap : 0;
     s.insts = core.instCount();
-    s.wallSeconds = core.watchdogWallSeconds();
+    s.wallSeconds = ctx.wallSeconds;
     s.robInFlight = core.robOccupancyAfter(s.healthy);
     return s;
 }
@@ -42,7 +42,7 @@ progressDiagnostic(const std::string &label, CoreModel &core,
                    Prefetcher &prefetcher, const WatchdogContext &ctx)
 {
     std::ostringstream os;
-    const Snapshot s = gather(core);
+    const Snapshot s = gather(core, ctx);
 
     os << "forward-progress watchdog tripped";
     if (!label.empty())
@@ -52,7 +52,7 @@ progressDiagnostic(const std::string &label, CoreModel &core,
        << ", " << s.insts << " insts processed)\n";
 
     os << "wall clock: " << s.wallSeconds
-       << " s inside the stalled run\n";
+       << " s into the stalled phase\n";
     if (!ctx.tracePolicy.empty())
         os << "trace policy: " << ctx.tracePolicy << "\n";
 
@@ -84,7 +84,7 @@ progressDiagnosticJson(JsonWriter &w, const std::string &label,
                        MainMemory &mem, Prefetcher &prefetcher,
                        const WatchdogContext &ctx)
 {
-    const Snapshot s = gather(core);
+    const Snapshot s = gather(core, ctx);
 
     w.beginObject();
     w.kv("kind", "watchdog_stall");

@@ -7,8 +7,8 @@
  * entries had not retired, which MSHRs held unreturned misses, how
  * busy the memory channels were, and what the prefetcher's epoch
  * state looked like. progressDiagnostic() gathers all of that -- plus
- * run context the caller supplies (wall-clock time spent inside the
- * stalled run, the active trace-read policy) -- into a human-readable
+ * run context the caller supplies (wall-clock time from the start of
+ * the stalled phase, the active trace-read policy) -- into a human-readable
  * dump, and progressDiagnosticJson() emits the same facts as one JSON
  * object so drivers can embed the diagnostic in stats.json instead of
  * scraping text. The text form remains the ostream fallback carried
@@ -34,6 +34,10 @@ struct WatchdogContext
 {
     /** Active trace-read policy name ("" if the driver has none). */
     std::string tracePolicy;
+
+    /** Wall-clock seconds from the start of the driver phase to the
+     * trip. */
+    double wallSeconds = 0.0;
 };
 
 /**

@@ -36,7 +36,8 @@ struct RingStats
 /**
  * FIFO ring of T with power-of-two capacity. Grows by doubling when
  * full; never shrinks, so a warmed ring serves pushSlot()/popFront()
- * without touching the allocator.
+ * without touching the allocator (or beginAppend()/commitAppend()
+ * for a run of elements).
  */
 template <typename T>
 class RecordRing
@@ -69,6 +70,46 @@ class RecordRing
         ++size_;
         ++stats_.pushes;
         return slot;
+    }
+
+    /**
+     * Bulk-append cursor from beginAppend(): push() claims the next
+     * slot (holding a stale value the caller must assign) with no
+     * room check of its own; commitAppend() publishes what was
+     * pushed.
+     */
+    struct Appender
+    {
+        T *slots;
+        std::size_t mask;
+        std::size_t tail; //!< unmasked index of the next slot
+
+        T &push() { return slots[tail++ & mask]; }
+    };
+
+    /**
+     * Start a bulk append of at most @p n elements: one room check
+     * (growing as pushSlot() would) for the whole run, instead of one
+     * per element. Push through the returned cursor, then call
+     * commitAppend(); nothing may touch the ring in between.
+     */
+    Appender
+    beginAppend(std::size_t n)
+    {
+        while (slots_.size() - size_ < n)
+            grow();
+        return {slots_.data(), mask_, head_ + size_};
+    }
+
+    /** Publish the elements pushed through @p a. */
+    void
+    commitAppend(const Appender &a)
+    {
+        const std::size_t n = a.tail - (head_ + size_);
+        panic_if(n > slots_.size() - size_,
+                 "bulk append overran its RecordRing room");
+        size_ += n;
+        stats_.pushes += n;
     }
 
     /** Oldest element. */

@@ -155,21 +155,47 @@ SyntheticWorkload::finishRecord(Addr pc)
 }
 
 void
-SyntheticWorkload::emitAlu()
+SyntheticWorkload::emitAluRun(unsigned n)
 {
-    TraceRecord &r = beginRecord();
-    const Addr pc = curPc_;
-    r.pc = pc;
-    curPc_ = pc + 4;
-    r.op = OpClass::IntAlu;
-    // Filler is mostly a dependent chain: commercial codes run at
-    // CPI_perf around 1.2 (Table 1), not at peak superscalar IPC.
-    r.dstReg = RegAlu0 + aluIdx_;
-    r.srcReg0 = (aluPhase_ == 3) ? NoReg : RegAlu0 + aluPlus(23);
-    r.srcReg1 = RegAlu0 + aluPlus(11);
-    aluIdx_ = aluPlus(1);
-    aluPhase_ = (aluPhase_ + 1) & 3;
-    finishRecord(pc);
+    // The record-by-record emitters' loop-carried state -- the PC,
+    // the ALU register cursors and the serializer countdown -- lives
+    // in locals for the run, and the ring is checked for room once:
+    // n ALU records plus the serializers finishRecord() would inject
+    // (none in most runs, which skip the division).
+    const std::uint64_t period =
+        std::max<std::uint64_t>(cfg_.serializeEvery, 1);
+    std::uint64_t since = sinceSerialize_;
+    const std::uint64_t due = since + n;
+    auto out = buf_.beginAppend(due < period ? n : n + due / period);
+    Addr pc = curPc_;
+    unsigned idx = aluIdx_;
+    unsigned phase = aluPhase_;
+    for (unsigned i = 0; i < n; ++i) {
+        TraceRecord &r = out.push();
+        r = TraceRecord{};
+        r.pc = pc;
+        r.op = OpClass::IntAlu;
+        // Filler is mostly a dependent chain: commercial codes run at
+        // CPI_perf around 1.2 (Table 1), not at peak superscalar IPC.
+        r.dstReg = RegAlu0 + idx;
+        r.srcReg0 = phase == 3 ? NoReg : RegAlu0 + aluWrap(idx + 23);
+        r.srcReg1 = RegAlu0 + aluWrap(idx + 11);
+        idx = aluWrap(idx + 1);
+        phase = (phase + 1) & 3;
+        if (++since >= period) {
+            since = 0;
+            TraceRecord &ser = out.push();
+            ser = TraceRecord{};
+            ser.pc = pc + 4;
+            ser.op = OpClass::Serialize;
+        }
+        pc += 4;
+    }
+    buf_.commitAppend(out);
+    curPc_ = pc;
+    aluIdx_ = idx;
+    aluPhase_ = phase;
+    sinceSerialize_ = since;
 }
 
 void
@@ -191,7 +217,7 @@ SyntheticWorkload::emitBranch(Addr target, bool noisy)
 void
 SyntheticWorkload::emitCode(unsigned n)
 {
-    for (unsigned i = 0; i < n; ++i) {
+    while (n > 0) {
         if (blockLeft_ == 0) {
             // End of a basic block: branch to the next one (wrapping
             // inside the function to bound its footprint).
@@ -200,9 +226,13 @@ SyntheticWorkload::emitCode(unsigned n)
                 next = fnBase_;
             emitBranch(next, rng_.chance(cfg_.branchNoise));
             blockLeft_ = cfg_.blockInsts - 1;
+            --n;
         } else {
-            emitAlu();
-            --blockLeft_;
+            // The rest of the block, or of the request, is filler.
+            const unsigned run = std::min(n, blockLeft_);
+            emitAluRun(run);
+            blockLeft_ -= run;
+            n -= run;
         }
     }
 }

@@ -68,6 +68,17 @@ struct FaultPlan
                tableDrop || tableDelay || demandStall;
     }
 
+    /** The plan core @p i's trace injector draws from: this plan
+     * with seed + i, so the cores of a multi-core run see
+     * independent fault streams and core 0 sees this plan's. */
+    FaultPlan
+    forCore(unsigned i) const
+    {
+        FaultPlan p = *this;
+        p.seed = seed + i;
+        return p;
+    }
+
     /** All fault-kind names accepted by parse(). */
     static std::vector<std::string> kindNames();
 

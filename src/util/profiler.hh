@@ -50,7 +50,7 @@ namespace prof
 enum class Phase : std::uint8_t
 {
     Decode,        //!< trace decode / batch refill
-    CoreLoop,      //!< CoreModel::run retirement loop
+    CoreLoop,      //!< Simulator::runPhase: the cores' retirement loops
     PrefetchTrain, //!< prefetcher observeAccess
     PrefetchIssue, //!< L2Subsystem::issuePrefetch
     Audit,         //!< Auditor::runNow
@@ -128,7 +128,7 @@ namespace detail
 // the perf-smoke max_profiler_overhead gate is what holds this honest.
 inline constexpr std::uint32_t StrideMask[NumPhases] = {
     255,  // Decode: one refill per 1024 records, still frequent
-    0,    // CoreLoop: once per run() call
+    0,    // CoreLoop: once per driver phase
     1023, // PrefetchTrain: fires per L2 access
     1023, // PrefetchIssue: fires per issued prefetch
     0,    // Audit

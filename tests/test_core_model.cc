@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "ckpt/archiver.hh"
 #include "cpu/core_model.hh"
 #include "cpu/mem_iface.hh"
+#include "trace/synthetic_workload.hh"
+#include "trace/workloads.hh"
+#include "util/bitfield.hh"
 
 using namespace ebcp;
 
@@ -289,4 +295,118 @@ TEST(CoreModel, FpOpsUseFpPipelines)
     f.dstReg = 3;
     InstTiming t = core.process(f);
     EXPECT_EQ(t.complete - t.issue, opLatency(OpClass::FpMul));
+}
+
+namespace
+{
+
+/** Memory stub with misses keyed on a hash of the line, so a
+ * realistic record stream sees off-chip loads and fetches. */
+class HashMissMem : public MemSystem
+{
+  public:
+    MemOutcome
+    fetchInst(Addr pc, Tick when) override
+    {
+        if (mix64(pc >> 6) % 16 == 0)
+            return {when + 300, true};
+        return {when, false};
+    }
+
+    MemOutcome
+    load(Addr addr, Addr, Tick when) override
+    {
+        if (mix64(addr >> 6) % 4 == 0)
+            return {when + 400, true};
+        return {when + 3, false};
+    }
+
+    Tick store(Addr, Tick when) override { return when + 1; }
+    unsigned lineBytes() const override { return 64; }
+};
+
+/** Replays a fixed record vector through the plain next() path. */
+class VectorSource : public TraceSource
+{
+  public:
+    explicit VectorSource(const std::vector<TraceRecord> &recs)
+        : recs_(recs)
+    {}
+
+    bool
+    next(TraceRecord &rec) override
+    {
+        if (pos_ == recs_.size())
+            return false;
+        rec = recs_[pos_++];
+        return true;
+    }
+    void reset() override { pos_ = 0; }
+
+  private:
+    const std::vector<TraceRecord> &recs_;
+    std::size_t pos_ = 0;
+};
+
+std::string
+coreImage(CoreModel &core)
+{
+    std::string out;
+    ckpt::Archiver ar = ckpt::Archiver::saver(out);
+    core.ckpt(ar);
+    return out;
+}
+
+} // namespace
+
+TEST(CoreModel, RunChunkingMatchesProcessByteForByte)
+{
+    // run() times each span on a local copy of the core state and
+    // process() on the member copy; both go through the one step()
+    // function, so any chunking must leave the identical checkpoint
+    // image (every timing field, ring and stat) behind.
+    constexpr std::size_t kRecords = 30'000;
+    WorkloadConfig wcfg = workloadByName("database", 1);
+    wcfg.serializeEvery = 997; // several serializers, not one per 50K
+    std::vector<TraceRecord> recs(kRecords);
+    {
+        SyntheticWorkload w(wcfg);
+        ASSERT_EQ(w.nextBatch(recs.data(), kRecords), kRecords);
+    }
+
+    HashMissMem ref_mem;
+    CoreModel ref({}, ref_mem);
+    ref.setWatchdog(1'000'000);
+    for (const TraceRecord &r : recs)
+        ref.process(r);
+    const std::string want = coreImage(ref);
+    ASSERT_GT(ref.stats().findScalar("offchip_loads")->value(), 0u);
+    ASSERT_GT(ref.stats().findScalar("offchip_fetches")->value(), 0u);
+    ASSERT_GT(ref.stats().findScalar("serializers")->value(), 0u);
+
+    // 1 and 7 never fill a decode chunk; 1500 crosses the 1024-record
+    // decode chunks at shifting offsets.
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                              std::size_t{1500}}) {
+        SCOPED_TRACE(chunk);
+        HashMissMem mem;
+        CoreModel core({}, mem);
+        core.setWatchdog(1'000'000);
+        VectorSource src(recs);
+        for (std::size_t done = 0; done < kRecords; done += chunk)
+            core.run(src, std::min(chunk, kRecords - done));
+        EXPECT_FALSE(core.watchdogTripped());
+        EXPECT_EQ(core.instCount(), kRecords);
+        EXPECT_TRUE(coreImage(core) == want);
+    }
+
+    // The generator's zero-copy span path: spans end at transaction
+    // and ring-wrap boundaries, which 4099 crosses.
+    HashMissMem mem;
+    CoreModel core({}, mem);
+    core.setWatchdog(1'000'000);
+    SyntheticWorkload w(wcfg);
+    for (std::size_t done = 0; done < kRecords; done += 4099)
+        core.run(w, std::min<std::size_t>(4099, kRecords - done));
+    EXPECT_TRUE(coreImage(core) == want);
 }

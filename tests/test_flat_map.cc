@@ -324,6 +324,41 @@ TEST(RecordRing, FifoOrderAcrossGrowth)
     EXPECT_TRUE(ring.empty());
 }
 
+TEST(RecordRing, BulkAppendWrapsAndGrowsLikePushSlot)
+{
+    RecordRing<int> ring(16);
+    // Park the head near the end so the append's tail wraps to slot 0.
+    for (int i = 0; i < 12; ++i) {
+        ring.pushSlot() = -1;
+        ring.popFront();
+    }
+    ring.pushSlot() = 0;
+    auto out = ring.beginAppend(10);
+    for (int i = 1; i <= 10; ++i)
+        out.push() = i;
+    ring.commitAppend(out);
+    EXPECT_EQ(ring.stats().grows, 0u);
+    EXPECT_EQ(ring.stats().pushes, 12u + 11u);
+    ASSERT_EQ(ring.size(), 11u);
+    const int *span = nullptr;
+    EXPECT_EQ(ring.frontSpan(&span), 4u); // slots 12..15, then a wrap
+
+    // An append that needs more room than is free grows once, up
+    // front, and keeps FIFO order; pushing fewer than requested is
+    // fine.
+    out = ring.beginAppend(20);
+    EXPECT_EQ(ring.stats().grows, 1u);
+    for (int i = 11; i <= 25; ++i)
+        out.push() = i;
+    ring.commitAppend(out);
+    ASSERT_EQ(ring.size(), 26u);
+    for (int i = 0; i <= 25; ++i) {
+        EXPECT_EQ(ring.front(), i);
+        ring.popFront();
+    }
+    EXPECT_EQ(ring.stats().pushes, ring.stats().pops);
+}
+
 TEST(RecordRing, SteadyStateNeverGrows)
 {
     RecordRing<std::vector<int>> ring(16);

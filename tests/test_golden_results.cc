@@ -19,6 +19,7 @@
 
 #include "sim/cmp_system.hh"
 #include "sim/simulator.hh"
+#include "trace/synthetic_workload.hh"
 #include "trace/workloads.hh"
 
 using namespace ebcp;
@@ -403,5 +404,31 @@ TEST(GoldenResults, GeneratorRecordStreamsBitExact)
         auto src = makeWorkload(g.workload, 1);
         EXPECT_EQ(recordStreamHash(*src, 200'000), g.hash);
         EXPECT_EQ(src->ringStats().grows, 0u);
+    }
+}
+
+TEST(GoldenResults, GeneratorSerializerInjectionBitExact)
+{
+    // The default period puts a serializer every 50K records, so the
+    // streams above see only a few. Dense periods inject one inside
+    // most filler runs (1: after every record). Captured, like the
+    // hashes above, from the generator before its filler emitter was
+    // batched.
+    struct PeriodGolden
+    {
+        unsigned every;
+        std::uint64_t hash;
+    };
+    constexpr PeriodGolden kPeriods[] = {
+        {1, 0x4c703e11789ba360ULL},
+        {7, 0xd498942c4bbfc485ULL},
+        {64, 0x246e203c0636108fULL},
+    };
+    for (const PeriodGolden &g : kPeriods) {
+        SCOPED_TRACE(g.every);
+        WorkloadConfig cfg = workloadByName("tpcw", 1);
+        cfg.serializeEvery = g.every;
+        SyntheticWorkload src(cfg);
+        EXPECT_EQ(recordStreamHash(src, 200'000), g.hash);
     }
 }

@@ -189,6 +189,25 @@ TEST(Profiler, SimulationPopulatesExpectedPhases)
     EXPECT_NE(findNode(rep, "core_loop/decode"), nullptr);
 }
 
+TEST(Profiler, CoreLoopIsOnePerPhaseNotPerQuantum)
+{
+    // Four cores interleave in ~100-instruction quanta, thousands per
+    // phase; the core_loop scope (and its clock reads) opens once per
+    // driver phase: warm-up and measurement.
+    prof::setEnabled(true);
+    prof::resetThisThread();
+    PrefetcherParams pf;
+    pf.name = "null";
+    const CmpResults r =
+        runCmp(SimConfig{}, pf, "database", 4, 20'000, 40'000);
+    ASSERT_EQ(r.insts, 4u * 40'000u);
+    const prof::Report rep = prof::snapshotThisThread();
+    const prof::NodeReport *core = findNode(rep, "core_loop");
+    ASSERT_NE(core, nullptr);
+    EXPECT_EQ(core->visits, 2u);
+    EXPECT_EQ(core->timedVisits, 2u);
+}
+
 #ifndef EBCP_DISABLE_EVENT_TRACE
 TEST(Profiler, ExportedSpansFormValidChromeTrace)
 {

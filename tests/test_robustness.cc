@@ -102,6 +102,47 @@ TEST(FaultInjection, SameSeedIsBitIdentical)
     EXPECT_GT(a.shortReads, 0u);
 }
 
+TEST(FaultInjection, EachCoreDrawsItsOwnTraceFaultStream)
+{
+    // Core i's injector uses the plan's seed + i: over identical
+    // inner streams, core 0 reproduces the plan's own faults record
+    // for record (so one-core runs are unchanged) and core 1 flips
+    // different bits.
+    FaultPlan plan;
+    plan.traceBitflip = true;
+    plan.seed = 7;
+    plan.rate = 1e-2;
+    auto drain = [](const FaultPlan &p, std::uint64_t &flips) {
+        auto inner = makeWorkload("database", 42);
+        FaultInjectingTraceSource src(*inner, p);
+        std::vector<TraceRecord> out(20'000);
+        for (TraceRecord &r : out)
+            EXPECT_TRUE(src.next(r));
+        flips = src.bitflipsInjected();
+        return out;
+    };
+    auto same = [](const TraceRecord &a, const TraceRecord &b) {
+        return a.pc == b.pc && a.addr == b.addr && a.op == b.op &&
+               a.dstReg == b.dstReg && a.srcReg0 == b.srcReg0 &&
+               a.srcReg1 == b.srcReg1 && a.taken == b.taken &&
+               a.target == b.target;
+    };
+    std::uint64_t flips_plan = 0, flips0 = 0, flips1 = 0;
+    const std::vector<TraceRecord> base = drain(plan, flips_plan);
+    const std::vector<TraceRecord> core0 = drain(plan.forCore(0), flips0);
+    const std::vector<TraceRecord> core1 = drain(plan.forCore(1), flips1);
+    ASSERT_GT(flips_plan, 0u);
+    EXPECT_EQ(flips0, flips_plan);
+    EXPECT_GT(flips1, 0u);
+    std::size_t diff0 = 0, diff1 = 0;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        diff0 += !same(base[i], core0[i]);
+        diff1 += !same(base[i], core1[i]);
+    }
+    EXPECT_EQ(diff0, 0u);
+    EXPECT_GT(diff1, 0u);
+}
+
 TEST(FaultInjection, RunCompletesDespiteFaults)
 {
     FaultRun a = runWithTraceFaults(3);

@@ -253,3 +253,41 @@ TEST(WorkloadTest, RecurringKeysReplayAddresses)
         for (std::uint32_t h = 0; h < 4; ++h)
             EXPECT_EQ(m.chainNode(k, h), m.chainNode(k, h));
 }
+
+TEST(WorkloadTest, SerializersFollowTheirPeriodInsideFillerRuns)
+{
+    // Every serializeEvery-th record is followed by a serializer at
+    // that record's PC + 4 -- including inside the bulk-appended
+    // filler runs -- and the next instruction shares its PC.
+    WorkloadConfig cfg = workloadByName("specjbb", 1);
+    cfg.serializeEvery = 5;
+    SyntheticWorkload w(cfg);
+    TraceRecord prev, r, serialized;
+    ASSERT_TRUE(w.next(prev));
+    unsigned since = 1;
+    bool pending = false;
+    std::uint64_t serializers = 0;
+    for (int i = 0; i < 100000; ++i) {
+        ASSERT_TRUE(w.next(r));
+        if (r.op == OpClass::Serialize) {
+            ASSERT_EQ(since, cfg.serializeEvery) << i;
+            EXPECT_EQ(r.pc, prev.pc + 4) << i;
+            since = 0;
+            pending = true;
+            serialized = prev;
+            ++serializers;
+        } else {
+            // Filler runs straight through a serializer.
+            if (pending && serialized.op == OpClass::IntAlu &&
+                r.op == OpClass::IntAlu) {
+                EXPECT_EQ(r.pc, serialized.pc + 4) << i;
+            }
+            pending = false;
+            ASSERT_LT(since, cfg.serializeEvery) << i;
+            ++since;
+        }
+        prev = r;
+    }
+    EXPECT_GT(serializers, 100000u / 6 - 10);
+    EXPECT_EQ(w.ringStats().grows, 0u);
+}
