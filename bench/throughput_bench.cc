@@ -93,7 +93,7 @@ struct RunReport
     std::uint64_t usefulPrefetches = 0;
 };
 
-/** One run of @p workload; @p cores > 1 runs the CMP driver with
+/** One run of @p workload; @p cores > 1 runs the multi-core Simulator with
  * one instance per core (seeds 1000 + i, as runCmp does). */
 RunReport
 measureRun(const std::string &workload, const std::string &pf_name,
@@ -348,7 +348,7 @@ main(int argc, char **argv)
             reports.push_back(std::move(best));
         }
 
-    // The grid runs one core, which the driver runs in one call per
+    // The grid runs one core, which Simulator runs in one call per
     // phase. A 4-core phase is thousands of ~100-instruction quanta,
     // so a profiler cost paid per call into a core only shows here.
     double prof_cmp_overhead = 0.0;

@@ -194,7 +194,7 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
     }
     // Chunked execution keeps the deadline entirely off the hot
     // retirement loop: one clock read per kDeadlineChunk instructions,
-    // counted across calls so a driver's short quanta do not multiply
+    // counted across calls so a caller's short quanta do not multiply
     // the reads, and a run with no deadline armed takes the plain
     // path above at zero cost (the perf-smoke bench enforces <2% with
     // the deadline armed).
@@ -263,7 +263,7 @@ CoreModel::runAuditedSpan(const TraceRecord *recs, std::size_t n)
         EBCP_AUDIT_RETIRE(auditor_, st_.lastRetire);
 #if EBCP_AUDIT_ENABLED
         // Under the abort policy a failed pass ends the run here;
-        // the driver turns the auditor's state into a Status.
+        // Simulator turns the auditor's state into a Status.
         stop = auditor_->abortRequested();
 #endif
     }

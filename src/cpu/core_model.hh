@@ -67,7 +67,7 @@ class CoreModel
 
     /** Run @p count instructions from @p src. With a wall deadline
      * armed, the clock is checked once per ~8k instructions, counted
-     * across calls, so a driver that runs the core in short quanta
+     * across calls, so a caller that runs the core in short quanta
      * reads it no more often than one long call would; otherwise it
      * is a single uninterrupted pass with zero deadline cost. */
     void run(TraceSource &src, std::uint64_t count);

@@ -35,7 +35,7 @@ struct WatchdogContext
     /** Active trace-read policy name ("" if the driver has none). */
     std::string tracePolicy;
 
-    /** Wall-clock seconds from the start of the driver phase to the
+    /** Wall-clock seconds from the start of the Simulator phase to the
      * trip. */
     double wallSeconds = 0.0;
 };

@@ -128,7 +128,7 @@ namespace detail
 // the perf-smoke max_profiler_overhead gate is what holds this honest.
 inline constexpr std::uint32_t StrideMask[NumPhases] = {
     255,  // Decode: one refill per 1024 records, still frequent
-    0,    // CoreLoop: once per driver phase
+    0,    // CoreLoop: once per Simulator phase
     1023, // PrefetchTrain: fires per L2 access
     1023, // PrefetchIssue: fires per issued prefetch
     0,    // Audit

@@ -193,7 +193,7 @@ TEST(Profiler, CoreLoopIsOnePerPhaseNotPerQuantum)
 {
     // Four cores interleave in ~100-instruction quanta, thousands per
     // phase; the core_loop scope (and its clock reads) opens once per
-    // driver phase: warm-up and measurement.
+    // Simulator phase: warm-up and measurement.
     prof::setEnabled(true);
     prof::resetThisThread();
     PrefetcherParams pf;
