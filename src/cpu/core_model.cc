@@ -193,26 +193,19 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
         return;
     }
     // Chunked execution keeps the deadline entirely off the hot
-    // retirement loop: one clock read per kDeadlineChunk instructions,
-    // counted across calls so a caller's short quanta do not multiply
-    // the reads, and a run with no deadline armed takes the plain
-    // path above at zero cost (the perf-smoke bench enforces <2% with
-    // the deadline armed).
+    // retirement loop: one clock read per chunk, and a run with no
+    // deadline armed takes the plain path above at zero cost (the
+    // perf-smoke bench enforces <2% with the deadline armed).
     constexpr std::uint64_t kDeadlineChunk = 8192;
     std::uint64_t remaining = count;
     while (remaining > 0) {
-        const std::uint64_t chunk =
-            std::min(kDeadlineChunk - sinceDeadlineCheck_, remaining);
+        const std::uint64_t chunk = std::min(kDeadlineChunk, remaining);
         const std::uint64_t before = st_.insts;
         runBounded(src, chunk);
         const std::uint64_t done = st_.insts - before;
         remaining -= std::min(done, remaining);
-        sinceDeadlineCheck_ += done;
         if (watchdogTripped_ || done < chunk)
             return; // tripped, or the source ran dry
-        if (sinceDeadlineCheck_ < kDeadlineChunk)
-            continue;
-        sinceDeadlineCheck_ = 0;
         if (std::chrono::steady_clock::now() >= wallDeadline_) {
             tripWatchdog(0);
             wallDeadlineTripped_ = true;

@@ -66,10 +66,9 @@ class CoreModel
     InstTiming process(const TraceRecord &rec);
 
     /** Run @p count instructions from @p src. With a wall deadline
-     * armed, the clock is checked once per ~8k instructions, counted
-     * across calls, so a caller that runs the core in short quanta
-     * reads it no more often than one long call would; otherwise it
-     * is a single uninterrupted pass with zero deadline cost. */
+     * armed, execution proceeds in ~8k-instruction chunks with a
+     * clock check between chunks; otherwise it is a single
+     * uninterrupted pass with zero deadline cost. */
     void run(TraceSource &src, std::uint64_t count);
 
     /**
@@ -134,7 +133,6 @@ class CoreModel
     {
         wallDeadline_ = deadline;
         wallDeadlineArmed_ = true;
-        sinceDeadlineCheck_ = 0;
     }
 
     void clearWallDeadline() { wallDeadlineArmed_ = false; }
@@ -297,7 +295,6 @@ class CoreModel
     std::chrono::steady_clock::time_point wallDeadline_{};
     bool wallDeadlineArmed_ = false;
     bool wallDeadlineTripped_ = false;
-    std::uint64_t sinceDeadlineCheck_ = 0; //!< insts since the last check
 
     Auditor *auditor_ = nullptr;
     std::uint64_t malformedRecords_ = 0;
