@@ -18,7 +18,14 @@ CoreModel::CoreModel(const CoreConfig &cfg, MemSystem &mem)
       iqIssue_(cfg.issueQueueEntries, 0),
       sbDrain_(cfg.storeBufferEntries, 0),
       lbComplete_(cfg.loadBufferEntries, 0),
-      st_(cfg),
+      fetchLim_(cfg.fetchWidth),
+      dispatchLim_(cfg.decodeWidth),
+      retireLim_(cfg.retireWidth),
+      aluLim_(cfg.numAlus),
+      lsuLim_(cfg.numLoadStoreUnits),
+      brLim_(cfg.numBranchUnits),
+      fpAddLim_(cfg.numFpAddUnits),
+      fpMulLim_(cfg.numFpMulUnits),
       stats_("core")
 {
     stats_.add(loads_);
@@ -30,8 +37,8 @@ CoreModel::CoreModel(const CoreConfig &cfg, MemSystem &mem)
     stats_.addChild(bp_.stats());
 }
 
-inline InstTiming
-CoreModel::step(State &s, const TraceRecord &rec)
+InstTiming
+CoreModel::process(const TraceRecord &rec)
 {
     InstTiming t;
 
@@ -41,33 +48,33 @@ CoreModel::step(State &s, const TraceRecord &rec)
     // termination condition).
     // ------------------------------------------------------------------
     const Addr line = alignDown(rec.pc, lineBytes_);
-    if (line != s.fetchLine) {
-        MemOutcome o = mem_.fetchInst(rec.pc, std::max(s.fetchResume,
-                                                       s.fetchLineReady));
-        s.fetchLine = line;
-        s.fetchLineReady = o.complete;
+    if (line != fetchLine_) {
+        MemOutcome o = mem_.fetchInst(rec.pc, std::max(fetchResume_,
+                                                       fetchLineReady_));
+        fetchLine_ = line;
+        fetchLineReady_ = o.complete;
         if (o.offChip)
-            ++s.offChipFetches;
+            ++offChipFetches_;
     }
-    t.fetch = s.fetchLim.next(std::max(s.fetchResume, s.fetchLineReady));
+    t.fetch = fetchLim_.next(std::max(fetchResume_, fetchLineReady_));
 
     // ------------------------------------------------------------------
     // Dispatch: bounded by ROB, issue queue, load/store buffers and a
     // pending serialization barrier.
     // ------------------------------------------------------------------
-    Tick d = std::max(t.fetch, s.serializeBarrier);
-    d = std::max(d, robRetire_[s.robIdx]);
-    d = std::max(d, iqIssue_[s.iqIdx]);
+    Tick d = std::max(t.fetch, serializeBarrier_);
+    d = std::max(d, robRetire_[robIdx_]);
+    d = std::max(d, iqIssue_[iqIdx_]);
     if (rec.op == OpClass::Store)
-        d = std::max(d, sbDrain_[s.sbIdx]);
+        d = std::max(d, sbDrain_[sbIdx_]);
     if (rec.op == OpClass::Load)
-        d = std::max(d, lbComplete_[s.lbIdx]);
+        d = std::max(d, lbComplete_[lbIdx_]);
     if (rec.op == OpClass::Serialize) {
         // Serializers wait for the whole window to drain.
-        d = std::max(d, s.lastRetire);
-        ++s.serializers;
+        d = std::max(d, lastRetire_);
+        ++serializers_;
     }
-    t.dispatch = s.dispatchLim.next(d);
+    t.dispatch = dispatchLim_.next(d);
 
     // ------------------------------------------------------------------
     // Issue + execute.
@@ -83,51 +90,51 @@ CoreModel::step(State &s, const TraceRecord &rec)
 
     switch (rec.op) {
       case OpClass::Load: {
-        t.issue = s.lsuLim.next(ready);
+        t.issue = lsuLim_.next(ready);
         MemOutcome o = mem_.load(rec.addr, rec.pc, t.issue);
         t.complete = o.complete;
         t.offChip = o.offChip;
-        ++s.loads;
+        ++loads_;
         if (o.offChip)
-            ++s.offChipLoads;
-        lbComplete_[s.lbIdx] = t.complete;
-        s.lbIdx = bump(s.lbIdx, lbComplete_.size());
-        ++s.loadSeq;
+            ++offChipLoads_;
+        lbComplete_[lbIdx_] = t.complete;
+        lbIdx_ = bump(lbIdx_, lbComplete_.size());
+        ++loadSeq_;
         break;
       }
       case OpClass::Store:
         // Address generation only; the store drains post-retire under
         // weak consistency.
-        t.issue = s.lsuLim.next(ready);
+        t.issue = lsuLim_.next(ready);
         t.complete = t.issue + 1;
-        ++s.stores;
+        ++stores_;
         break;
       case OpClass::Branch:
       case OpClass::Call:
       case OpClass::Return: {
-        t.issue = s.brLim.next(ready);
+        t.issue = brLim_.next(ready);
         t.complete = t.issue + opLatency(rec.op);
-        ++s.branches;
+        ++branches_;
         const bool correct =
             bp_.predict(rec.pc, rec.op, rec.taken, rec.target);
         if (!correct) {
             // Fetch restarts after the branch resolves; a branch fed
             // by an off-chip load thus terminates the window.
-            s.fetchResume = std::max(s.fetchResume,
-                                     t.complete + cfg_.mispredictPenalty);
+            fetchResume_ = std::max(fetchResume_,
+                                    t.complete + cfg_.mispredictPenalty);
         }
         break;
       }
       case OpClass::FpAdd:
-        t.issue = s.fpAddLim.next(ready);
+        t.issue = fpAddLim_.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         break;
       case OpClass::FpMul:
-        t.issue = s.fpMulLim.next(ready);
+        t.issue = fpMulLim_.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         break;
       case OpClass::IntAlu:
-        t.issue = s.aluLim.next(ready);
+        t.issue = aluLim_.next(ready);
         t.complete = t.issue + opLatency(rec.op);
         break;
       case OpClass::Serialize:
@@ -143,45 +150,24 @@ CoreModel::step(State &s, const TraceRecord &rec)
     // ------------------------------------------------------------------
     // Retire: in order, bounded by retire width.
     // ------------------------------------------------------------------
-    t.retire = s.retireLim.next(std::max(t.complete, s.lastRetire));
-    s.lastRetire = t.retire;
+    t.retire = retireLim_.next(std::max(t.complete, lastRetire_));
+    lastRetire_ = t.retire;
 
-    robRetire_[s.robIdx] = t.retire;
-    iqIssue_[s.iqIdx] = t.issue;
-    s.robIdx = bump(s.robIdx, robRetire_.size());
-    s.iqIdx = bump(s.iqIdx, iqIssue_.size());
-    ++s.seq;
+    robRetire_[robIdx_] = t.retire;
+    iqIssue_[iqIdx_] = t.issue;
+    robIdx_ = bump(robIdx_, robRetire_.size());
+    iqIdx_ = bump(iqIdx_, iqIssue_.size());
+    ++seq_;
 
     if (rec.op == OpClass::Store) {
-        sbDrain_[s.sbIdx] = mem_.store(rec.addr, t.retire);
-        s.sbIdx = bump(s.sbIdx, sbDrain_.size());
-        ++s.storeSeq;
+        sbDrain_[sbIdx_] = mem_.store(rec.addr, t.retire);
+        sbIdx_ = bump(sbIdx_, sbDrain_.size());
+        ++storeSeq_;
     }
     if (rec.op == OpClass::Serialize)
-        s.serializeBarrier = t.retire;
+        serializeBarrier_ = t.retire;
 
-    ++s.insts;
-    return t;
-}
-
-void
-CoreModel::flushStats()
-{
-    loads_ += st_.loads;
-    stores_ += st_.stores;
-    branches_ += st_.branches;
-    offChipLoads_ += st_.offChipLoads;
-    offChipFetches_ += st_.offChipFetches;
-    serializers_ += st_.serializers;
-    st_.loads = st_.stores = st_.branches = 0;
-    st_.offChipLoads = st_.offChipFetches = st_.serializers = 0;
-}
-
-InstTiming
-CoreModel::process(const TraceRecord &rec)
-{
-    const InstTiming t = step(st_, rec);
-    flushStats();
+    ++insts_;
     return t;
 }
 
@@ -199,69 +185,21 @@ CoreModel::run(TraceSource &src, std::uint64_t count)
     constexpr std::uint64_t kDeadlineChunk = 8192;
     std::uint64_t remaining = count;
     while (remaining > 0) {
-        const std::uint64_t chunk = std::min(kDeadlineChunk, remaining);
-        const std::uint64_t before = st_.insts;
+        const std::uint64_t chunk =
+            std::min(kDeadlineChunk, remaining);
+        const std::uint64_t before = insts_;
         runBounded(src, chunk);
-        const std::uint64_t done = st_.insts - before;
+        const std::uint64_t done = insts_ - before;
         remaining -= std::min(done, remaining);
         if (watchdogTripped_ || done < chunk)
             return; // tripped, or the source ran dry
         if (std::chrono::steady_clock::now() >= wallDeadline_) {
-            tripWatchdog(0);
+            watchdogTripped_ = true;
             wallDeadlineTripped_ = true;
+            watchdogGap_ = 0;
             return;
         }
     }
-}
-
-bool
-CoreModel::runSpan(const TraceRecord *recs, std::size_t n)
-{
-    State s = st_;
-    const Tick limit = watchdogLimit_;
-    bool tripped = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Tick prev = s.lastRetire;
-        step(s, recs[i]);
-        if (limit && s.lastRetire > prev + limit) {
-            tripWatchdog(s.lastRetire - prev);
-            tripped = true;
-            break;
-        }
-    }
-    st_ = s;
-    flushStats();
-    return tripped;
-}
-
-bool
-CoreModel::runAuditedSpan(const TraceRecord *recs, std::size_t n)
-{
-    bool stop = false;
-    for (std::size_t i = 0; i < n && !stop; ++i) {
-#if EBCP_AUDIT_ENABLED
-        // Screen the raw record before it shapes any timing: a
-        // malformed one is evidence of corruption upstream of the
-        // core, surfaced by audit() rather than a crash here.
-        if (recordAuditError(recs[i]))
-            ++malformedRecords_;
-#endif
-        const Tick prev = st_.lastRetire;
-        step(st_, recs[i]);
-        if (watchdogLimit_ && st_.lastRetire > prev + watchdogLimit_) {
-            tripWatchdog(st_.lastRetire - prev);
-            stop = true;
-            break;
-        }
-        EBCP_AUDIT_RETIRE(auditor_, st_.lastRetire);
-#if EBCP_AUDIT_ENABLED
-        // Under the abort policy a failed pass ends the run here;
-        // Simulator turns the auditor's state into a Status.
-        stop = auditor_->abortRequested();
-#endif
-    }
-    flushStats();
-    return stop;
 }
 
 void
@@ -273,21 +211,44 @@ CoreModel::runBounded(TraceSource &src, std::uint64_t count)
     // chunk memory directly -- no per-record copy. The pipe never
     // over-pulls: over its lifetime it requests exactly `count`
     // records, so the source is left positioned as if records had
-    // been pulled one at a time (except after a watchdog trip or an
-    // audit abort, where the run is abandoned).
+    // been pulled one at a time (except after a watchdog trip, where
+    // the run is abandoned).
     DecodeAhead pipe(src, count);
+    Tick prev_retire = lastRetire_;
     std::uint64_t remaining = count;
     while (remaining > 0) {
         const TraceRecord *batch = nullptr;
         const std::size_t got = pipe.acquire(
             &batch, static_cast<std::size_t>(std::min<std::uint64_t>(
                         remaining, ~std::size_t{0})));
-        if (got == 0)
-            return; // the source ran dry
-        if (auditor_ ? runAuditedSpan(batch, got) : runSpan(batch, got))
-            return;
+        for (std::size_t i = 0; i < got; ++i) {
+#if EBCP_AUDIT_ENABLED
+            // Screen the raw record before it shapes any timing: a
+            // malformed one is evidence of corruption upstream of the
+            // core, surfaced by audit() rather than a crash here.
+            if (auditor_ && recordAuditError(batch[i]))
+                ++malformedRecords_;
+#endif
+            const InstTiming t = process(batch[i]);
+            if (watchdogLimit_ &&
+                t.retire > prev_retire + watchdogLimit_) {
+                watchdogTripped_ = true;
+                watchdogGap_ = t.retire - prev_retire;
+                return;
+            }
+            prev_retire = t.retire;
+            EBCP_AUDIT_RETIRE(auditor_, t.retire);
+#if EBCP_AUDIT_ENABLED
+            // Under the abort policy a failed pass ends the run here;
+            // Simulator turns the auditor's state into a Status.
+            if (auditor_ && auditor_->abortRequested())
+                return;
+#endif
+        }
         pipe.consume(got);
         remaining -= got;
+        if (got == 0)
+            return; // the source ran dry
     }
 }
 
@@ -295,7 +256,7 @@ unsigned
 CoreModel::robOccupancyAfter(Tick t) const
 {
     const std::uint64_t valid =
-        std::min<std::uint64_t>(st_.seq, cfg_.robEntries);
+        std::min<std::uint64_t>(seq_, cfg_.robEntries);
     unsigned busy = 0;
     for (std::uint64_t i = 0; i < valid; ++i)
         if (robRetire_[i] > t)
@@ -311,9 +272,9 @@ CoreModel::audit(AuditContext &ctx) const
     // newest must never go backwards, and the newest entry is the last
     // retirement -- which nothing still tracked may outlive.
     const std::size_t size = robRetire_.size();
-    const std::uint64_t valid = std::min<std::uint64_t>(st_.seq, size);
+    const std::uint64_t valid = std::min<std::uint64_t>(seq_, size);
     if (valid > 0) {
-        const std::size_t oldest = st_.seq >= size ? st_.robIdx : 0;
+        const std::size_t oldest = seq_ >= size ? robIdx_ : 0;
         bool ordered = true;
         Tick prev = 0;
         for (std::uint64_t k = 0; k < valid; ++k) {
@@ -327,30 +288,29 @@ CoreModel::audit(AuditContext &ctx) const
         ctx.check(ordered, "rob_age_ordered",
                   "ROB retire times decrease oldest to newest");
         const Tick newest = robRetire_[(oldest + valid - 1) % size];
-        ctx.check(newest == st_.lastRetire, "rob_newest_is_last_retire",
+        ctx.check(newest == lastRetire_, "rob_newest_is_last_retire",
                   "newest ROB entry retires at ", newest,
-                  " but the last retirement was ", st_.lastRetire);
-        ctx.check(robOccupancyAfter(st_.lastRetire) == 0,
+                  " but the last retirement was ", lastRetire_);
+        ctx.check(robOccupancyAfter(lastRetire_) == 0,
                   "no_inst_outlives_last_retire",
-                  robOccupancyAfter(st_.lastRetire),
+                  robOccupancyAfter(lastRetire_),
                   " ROB entries retire after the last retirement");
     }
 
     // Ring cursors are sequence counters folded by the ring size; a
     // divergence means an entry was skipped or double-counted.
-    const State &s = st_;
-    ctx.check(s.robIdx == s.seq % robRetire_.size(), "rob_cursor_consistent",
-              "ROB cursor ", s.robIdx, " vs seq ", s.seq);
-    ctx.check(s.iqIdx == s.seq % iqIssue_.size(), "iq_cursor_consistent",
-              "IQ cursor ", s.iqIdx, " vs seq ", s.seq);
-    ctx.check(s.sbIdx == s.storeSeq % sbDrain_.size(), "sb_cursor_consistent",
-              "store-buffer cursor ", s.sbIdx, " vs store seq ", s.storeSeq);
-    ctx.check(s.lbIdx == s.loadSeq % lbComplete_.size(), "lb_cursor_consistent",
-              "load-buffer cursor ", s.lbIdx, " vs load seq ", s.loadSeq);
-    ctx.check(s.seq == s.insts, "dispatch_matches_inst_count",
-              s.seq, " dispatches vs ", s.insts, " instructions");
-    ctx.check(s.storeSeq + s.loadSeq <= s.seq, "mem_ops_within_dispatches",
-              s.storeSeq + s.loadSeq, " memory ops vs ", s.seq, " dispatches");
+    ctx.check(robIdx_ == seq_ % robRetire_.size(), "rob_cursor_consistent",
+              "ROB cursor ", robIdx_, " vs seq ", seq_);
+    ctx.check(iqIdx_ == seq_ % iqIssue_.size(), "iq_cursor_consistent",
+              "IQ cursor ", iqIdx_, " vs seq ", seq_);
+    ctx.check(sbIdx_ == storeSeq_ % sbDrain_.size(), "sb_cursor_consistent",
+              "store-buffer cursor ", sbIdx_, " vs store seq ", storeSeq_);
+    ctx.check(lbIdx_ == loadSeq_ % lbComplete_.size(), "lb_cursor_consistent",
+              "load-buffer cursor ", lbIdx_, " vs load seq ", loadSeq_);
+    ctx.check(seq_ == insts_, "dispatch_matches_inst_count",
+              seq_, " dispatches vs ", insts_, " instructions");
+    ctx.check(storeSeq_ + loadSeq_ <= seq_, "mem_ops_within_dispatches",
+              storeSeq_ + loadSeq_, " memory ops vs ", seq_, " dispatches");
 
     ctx.check(malformedRecords_ == 0, "trace_records_well_formed",
               malformedRecords_, " malformed trace records screened");
@@ -359,34 +319,34 @@ CoreModel::audit(AuditContext &ctx) const
 void
 CoreModel::corruptForTest()
 {
-    if (st_.seq == 0) {
+    if (seq_ == 0) {
         // Fabricate a lone instruction whose retirement is in the
-        // future relative to the last retirement.
-        robRetire_[0] = st_.lastRetire + 1000;
-        iqIssue_[0] = st_.lastRetire + 1000;
-        st_.seq = 1;
-        st_.insts = 1;
-        st_.robIdx = bump(st_.robIdx, robRetire_.size());
-        st_.iqIdx = bump(st_.iqIdx, iqIssue_.size());
+        // future relative to lastRetire_.
+        robRetire_[0] = lastRetire_ + 1000;
+        iqIssue_[0] = lastRetire_ + 1000;
+        seq_ = 1;
+        insts_ = 1;
+        robIdx_ = bump(robIdx_, robRetire_.size());
+        iqIdx_ = bump(iqIdx_, iqIssue_.size());
     } else {
         // Push the newest live entry far past the last retirement:
-        // breaks the newest==lastRetire tie and leaves an entry that
+        // breaks the newest==lastRetire_ tie and leaves an entry that
         // outlives every near-term retirement. The newest slot is the
         // last to be overwritten by subsequent dispatches, so the
         // damage also survives long enough for a cadenced mid-run
         // audit to observe it (the oldest slot, being the insertion
         // cursor, would be erased by the very next instruction).
         const std::size_t size = robRetire_.size();
-        const std::size_t newest = (st_.robIdx + size - 1) % size;
-        robRetire_[newest] = st_.lastRetire + 10'000'000;
+        const std::size_t newest = (robIdx_ + size - 1) % size;
+        robRetire_[newest] = lastRetire_ + 10'000'000;
     }
 }
 
 void
 CoreModel::beginMeasurement()
 {
-    instMark_ = st_.insts;
-    tickMark_ = st_.lastRetire;
+    instMark_ = insts_;
+    tickMark_ = lastRetire_;
     stats_.resetAll();
 }
 
@@ -400,16 +360,16 @@ CoreModel::ckpt(ckpt::Archiver &ar)
     ar.fixedVecU64(iqIssue_, "issue queue ring");
     ar.fixedVecU64(sbDrain_, "store buffer ring");
     ar.fixedVecU64(lbComplete_, "load buffer ring");
-    ar.cursor(st_.robIdx, robRetire_.size(), "ROB");
-    ar.cursor(st_.iqIdx, iqIssue_.size(), "issue queue");
-    ar.cursor(st_.sbIdx, sbDrain_.size(), "store buffer");
-    ar.cursor(st_.lbIdx, lbComplete_.size(), "load buffer");
-    ar.u64(st_.seq);
-    ar.u64(st_.storeSeq);
-    ar.u64(st_.loadSeq);
+    ar.cursor(robIdx_, robRetire_.size(), "ROB");
+    ar.cursor(iqIdx_, iqIssue_.size(), "issue queue");
+    ar.cursor(sbIdx_, sbDrain_.size(), "store buffer");
+    ar.cursor(lbIdx_, lbComplete_.size(), "load buffer");
+    ar.u64(seq_);
+    ar.u64(storeSeq_);
+    ar.u64(loadSeq_);
     for (WidthLimiter *lim :
-         {&st_.fetchLim, &st_.dispatchLim, &st_.retireLim, &st_.aluLim,
-          &st_.lsuLim, &st_.brLim, &st_.fpAddLim, &st_.fpMulLim}) {
+         {&fetchLim_, &dispatchLim_, &retireLim_, &aluLim_, &lsuLim_,
+          &brLim_, &fpAddLim_, &fpMulLim_}) {
         Tick cur = lim->cur();
         unsigned used = lim->used();
         ar.u64(cur);
@@ -417,12 +377,12 @@ CoreModel::ckpt(ckpt::Archiver &ar)
         if (!ar.saving() && ar.ok())
             lim->setState(cur, used);
     }
-    ar.u64(st_.fetchLine);
-    ar.u64(st_.fetchLineReady);
-    ar.u64(st_.fetchResume);
-    ar.u64(st_.lastRetire);
-    ar.u64(st_.serializeBarrier);
-    ar.u64(st_.insts);
+    ar.u64(fetchLine_);
+    ar.u64(fetchLineReady_);
+    ar.u64(fetchResume_);
+    ar.u64(lastRetire_);
+    ar.u64(serializeBarrier_);
+    ar.u64(insts_);
     ar.u64(instMark_);
     ar.u64(tickMark_);
     ar.u64(malformedRecords_);

@@ -78,13 +78,13 @@ class CoreModel
     void beginMeasurement();
 
     /** Instructions processed since beginMeasurement(). */
-    std::uint64_t measuredInsts() const { return st_.insts - instMark_; }
+    std::uint64_t measuredInsts() const { return insts_ - instMark_; }
 
     /** Cycles elapsed since beginMeasurement(). */
     Tick
     measuredCycles() const
     {
-        return st_.lastRetire > tickMark_ ? st_.lastRetire - tickMark_ : 0;
+        return lastRetire_ > tickMark_ ? lastRetire_ - tickMark_ : 0;
     }
 
     /** Overall CPI of the measurement window. */
@@ -96,8 +96,8 @@ class CoreModel
                    : 0.0;
     }
 
-    Tick now() const { return st_.lastRetire; }
-    std::uint64_t instCount() const { return st_.insts; }
+    Tick now() const { return lastRetire_; }
+    std::uint64_t instCount() const { return insts_; }
 
     /**
      * Arm the forward-progress watchdog: run() stops (and
@@ -185,89 +185,6 @@ class CoreModel
         return ++i == size ? 0 : i;
     }
 
-    /**
-     * The per-instruction mutable timing state: everything step()
-     * reads and writes on every record besides the register and
-     * window rings. run() advances a local copy per span, which the
-     * compiler keeps in registers across the memory system's virtual
-     * calls, and writes it back at the span's end or a watchdog trip;
-     * process(), and run() with an auditor attached, advance the
-     * member copy.
-     */
-    struct State
-    {
-        explicit State(const CoreConfig &cfg)
-            : fetchLim(cfg.fetchWidth), dispatchLim(cfg.decodeWidth),
-              retireLim(cfg.retireWidth), aluLim(cfg.numAlus),
-              lsuLim(cfg.numLoadStoreUnits), brLim(cfg.numBranchUnits),
-              fpAddLim(cfg.numFpAddUnits), fpMulLim(cfg.numFpMulUnits)
-        {}
-
-        WidthLimiter fetchLim;
-        WidthLimiter dispatchLim;
-        WidthLimiter retireLim;
-        WidthLimiter aluLim;
-        WidthLimiter lsuLim;
-        WidthLimiter brLim;
-        WidthLimiter fpAddLim;
-        WidthLimiter fpMulLim;
-
-        // Fetch state.
-        Addr fetchLine = InvalidAddr;
-        Tick fetchLineReady = 0;
-        Tick fetchResume = 0; //!< earliest fetch after redirects/stalls
-
-        Tick lastRetire = 0;
-        Tick serializeBarrier = 0; //!< dispatch floor after a serializer
-
-        // Ring cursors: seq % size without the per-instruction
-        // division.
-        std::size_t robIdx = 0;
-        std::size_t iqIdx = 0;
-        std::size_t sbIdx = 0;
-        std::size_t lbIdx = 0;
-        std::uint64_t seq = 0;      //!< dispatched instruction count
-        std::uint64_t storeSeq = 0; //!< dispatched store count
-        std::uint64_t loadSeq = 0;  //!< dispatched load count
-        std::uint64_t insts = 0;
-
-        // Op counts not yet added to the stat scalars (flushStats()).
-        std::uint64_t loads = 0;
-        std::uint64_t stores = 0;
-        std::uint64_t branches = 0;
-        std::uint64_t offChipLoads = 0;
-        std::uint64_t offChipFetches = 0;
-        std::uint64_t serializers = 0;
-    };
-
-    /** Time one instruction, advancing @p s: the core's only copy of
-     * the timing logic. */
-    inline InstTiming step(State &s, const TraceRecord &rec);
-
-    /** Add the op counts pending in st_ to the stat scalars. */
-    void flushStats();
-
-    /** The deadline-free retirement loop behind run(). */
-    void runBounded(TraceSource &src, std::uint64_t count);
-
-    /** Time @p n records on a local copy of st_; @return true when a
-     * watchdog trip ended the run. */
-    bool runSpan(const TraceRecord *recs, std::size_t n);
-
-    /** As runSpan() on st_ itself, screening every record and firing
-     * the auditor's hooks (an audit pass may run inside a memory
-     * call and must see current state). @return true when a watchdog
-     * trip or an abort request ended the run. */
-    bool runAuditedSpan(const TraceRecord *recs, std::size_t n);
-
-    /** Record a retire-gap trip of @p gap ticks. */
-    void
-    tripWatchdog(Tick gap)
-    {
-        watchdogTripped_ = true;
-        watchdogGap_ = gap;
-    }
-
     CoreConfig cfg_;
     MemSystem &mem_;
     Addr lineBytes_; //!< cached mem_.lineBytes() (virtual call)
@@ -277,20 +194,47 @@ class CoreModel
     std::array<Tick, NumArchRegs> regReady_{};
 
     // Window resources, as rings of the tick at which entry (i - size)
-    // frees, indexed by the State cursors.
+    // frees. The *Idx_ cursors track seq % size without the per-
+    // instruction division.
     std::vector<Tick> robRetire_;
     std::vector<Tick> iqIssue_;
     std::vector<Tick> sbDrain_;
     std::vector<Tick> lbComplete_;
+    std::size_t robIdx_ = 0;
+    std::size_t iqIdx_ = 0;
+    std::size_t sbIdx_ = 0;
+    std::size_t lbIdx_ = 0;
+    std::uint64_t seq_ = 0;      //!< dispatched instruction count
+    std::uint64_t storeSeq_ = 0; //!< dispatched store count
+    std::uint64_t loadSeq_ = 0;  //!< dispatched load count
 
-    State st_;
+    WidthLimiter fetchLim_;
+    WidthLimiter dispatchLim_;
+    WidthLimiter retireLim_;
+    WidthLimiter aluLim_;
+    WidthLimiter lsuLim_;
+    WidthLimiter brLim_;
+    WidthLimiter fpAddLim_;
+    WidthLimiter fpMulLim_;
 
+    // Fetch state.
+    Addr fetchLine_ = InvalidAddr;
+    Tick fetchLineReady_ = 0;
+    Tick fetchResume_ = 0; //!< earliest fetch after redirects/stalls
+
+    Tick lastRetire_ = 0;
+    Tick serializeBarrier_ = 0; //!< dispatch floor after a serializer
+
+    std::uint64_t insts_ = 0;
     std::uint64_t instMark_ = 0;
     Tick tickMark_ = 0;
 
     Tick watchdogLimit_ = 0; //!< max retire-to-retire gap; 0 = off
     Tick watchdogGap_ = 0;
     bool watchdogTripped_ = false;
+
+    /** The deadline-free retirement loop behind run(). */
+    void runBounded(TraceSource &src, std::uint64_t count);
 
     std::chrono::steady_clock::time_point wallDeadline_{};
     bool wallDeadlineArmed_ = false;

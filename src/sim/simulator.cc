@@ -221,6 +221,9 @@ Simulator::runPhase(const std::vector<TraceSource *> &sources,
         if (measured == sampled)
             continue;
         sampled = measured;
+        // A child scope, so interval sampling is not counted as the
+        // cores' own time.
+        EBCP_PROFILE_SCOPE(Stats);
         sampler->sample(measured);
         if (traceLog_)
             sampleCounterTracks();

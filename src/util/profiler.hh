@@ -55,7 +55,7 @@ enum class Phase : std::uint8_t
     PrefetchIssue, //!< L2Subsystem::issuePrefetch
     Audit,         //!< Auditor::runNow
     Ckpt,          //!< checkpoint serialize/restore
-    Stats,         //!< stats dump/export
+    Stats,         //!< stats dump/export, interval samples
 };
 
 /** Number of distinct Phase values. */

@@ -18,6 +18,7 @@
 
 #include "sim/simulator.hh"
 #include "harness/stats_json.hh"
+#include "stats/interval.hh"
 #include "trace/workloads.hh"
 #include "util/event_trace.hh"
 #include "util/json.hh"
@@ -206,6 +207,27 @@ TEST(Profiler, CoreLoopIsOnePerPhaseNotPerQuantum)
     ASSERT_NE(core, nullptr);
     EXPECT_EQ(core->visits, 2u);
     EXPECT_EQ(core->timedVisits, 2u);
+}
+
+TEST(Profiler, IntervalSamplesAreTheirOwnChildOfCoreLoop)
+{
+    // Sampling runs inside the phase but is not the cores' work: each
+    // sample opens a stats child, so core_loop's self time excludes it.
+    prof::setEnabled(true);
+    prof::resetThisThread();
+    PrefetcherParams pf;
+    pf.name = "null";
+    Simulator sim(SimConfig{}, pf, 2);
+    IntervalSampler sampler(sim.l2side().stats(), 30000);
+    sim.setSampler(&sampler);
+    auto s0 = makeWorkload("database", 1000);
+    auto s1 = makeWorkload("database", 1001);
+    sim.run({s0.get(), s1.get()}, 20'000, 100'000);
+    const prof::Report rep = prof::snapshotThisThread();
+    const prof::NodeReport *stats = findNode(rep, "core_loop/stats");
+    ASSERT_NE(stats, nullptr);
+    ASSERT_FALSE(sampler.snapshots().empty());
+    EXPECT_EQ(stats->visits, sampler.snapshots().size());
 }
 
 #ifndef EBCP_DISABLE_EVENT_TRACE
