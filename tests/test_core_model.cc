@@ -361,10 +361,9 @@ coreImage(CoreModel &core)
 
 TEST(CoreModel, RunChunkingMatchesProcessByteForByte)
 {
-    // run() times each span on a local copy of the core state and
-    // process() on the member copy; both go through the one step()
-    // function, so any chunking must leave the identical checkpoint
-    // image (every timing field, ring and stat) behind.
+    // run() times each decoded span through process(), the core's
+    // one step function, so any chunking must leave the identical
+    // checkpoint image (every timing field, ring and stat) behind.
     constexpr std::size_t kRecords = 30'000;
     WorkloadConfig wcfg = workloadByName("database", 1);
     wcfg.serializeEvery = 997; // several serializers, not one per 50K
